@@ -177,7 +177,11 @@ impl Instance {
             self.bump(|c| c.analysis += 1);
             let (classes, stable_depth) =
                 ViewClasses::compute_until_stable_with(&self.graph, &self.opts);
-            let report = anet_views::election_index::report_from_table(&classes, stable_depth);
+            let report = anet_views::election_index::report_from_table(
+                &classes,
+                stable_depth,
+                self.graph.num_nodes(),
+            );
             Analysis { classes, report }
         });
         f(analysis)
@@ -219,30 +223,25 @@ impl Instance {
     /// is what makes the milestone schemes' huge `Generic(P)` parameters
     /// affordable.
     pub fn class_row(&self, depth: usize) -> Vec<ClassId> {
-        self.with_analysis(|a| {
-            if depth > a.classes.max_depth() {
-                let before = a.classes.max_depth();
-                a.classes.ensure_depth(&self.graph, depth, &self.opts);
-                if a.classes.max_depth() > before {
-                    self.bump(|c| c.class_deepenings += 1);
-                }
-            }
-            a.classes.row_at(depth).to_vec()
-        })
+        self.with_classes_at(depth, |classes| classes.row_at(depth).to_vec())
     }
 
     /// Number of distinct views at depth `depth` (same deep-depth resolution
     /// as [`class_row`](Instance::class_row)).
     pub fn num_classes_at(&self, depth: usize) -> usize {
+        self.with_classes_at(depth, |classes| classes.num_classes_deep(depth))
+    }
+
+    /// Runs `f` with the cached class table deepened to answer `depth`,
+    /// counting one `class_deepenings` when that added rows.
+    fn with_classes_at<R>(&self, depth: usize, f: impl FnOnce(&ViewClasses) -> R) -> R {
         self.with_analysis(|a| {
-            if depth > a.classes.max_depth() {
-                let before = a.classes.max_depth();
-                a.classes.ensure_depth(&self.graph, depth, &self.opts);
-                if a.classes.max_depth() > before {
-                    self.bump(|c| c.class_deepenings += 1);
-                }
+            let before = a.classes.max_depth();
+            a.classes.ensure_depth(&*self.graph, depth, &self.opts);
+            if a.classes.max_depth() > before {
+                self.bump(|c| c.class_deepenings += 1);
             }
-            a.classes.num_classes_deep(depth)
+            f(&a.classes)
         })
     }
 
@@ -356,7 +355,9 @@ impl Instance {
     /// [`class_row`](Instance::class_row) at every depth.
     pub fn quotient_class_row(&self, depth: usize) -> Result<Vec<ClassId>, QuotientError> {
         self.with_quotient(|s| {
-            s.analysis.ensure_depth(s.base.dart_rows(), depth);
+            s.analysis
+                .classes
+                .ensure_depth(s.base.dart_rows(), depth, &self.opts);
             s.analysis.pullback_row(depth, s.base.colors())
         })
     }

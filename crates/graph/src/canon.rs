@@ -1,12 +1,13 @@
 //! Canonical stable-partition form and a quotient-insensitive graph hash.
 //!
-//! Port-respecting colour refinement (the port-labeled analogue of 1-WL)
-//! computes, for every node, the class of its *view* truncated at the stable
-//! depth: two nodes end in the same class iff their infinite views are equal
-//! (Yamashita–Kameda; Norris). Because the refinement only ever looks at
-//! colours and port numbers — never at node identifiers — the resulting
-//! partition, the per-class quotient rows and everything derived from them
-//! are invariant under renumbering of the nodes.
+//! Port-respecting colour refinement (the port-labeled analogue of 1-WL,
+//! run by the [`crate::refine`] kernel) computes, for every node, the class
+//! of its *view* truncated at the stable depth: two nodes end in the same
+//! class iff their infinite views are equal (Yamashita–Kameda; Norris).
+//! Because the refinement only ever looks at colours and port numbers —
+//! never at node identifiers — the resulting partition, the per-class
+//! quotient rows and everything derived from them are invariant under
+//! renumbering of the nodes.
 //!
 //! [`CanonicalForm`] packages the stable partition in a canonical order (by
 //! final colour), and [`Graph::canonical_hash`] folds the canonical encoding
@@ -21,6 +22,7 @@
 //! graphs relabel to byte-identical adjacency structures.
 
 use crate::graph::{Graph, NodeId};
+use crate::refine::{self, RefineOptions};
 
 /// The stable partition of a graph under port-respecting colour refinement,
 /// in canonical (renumbering-invariant) order.
@@ -96,67 +98,20 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run port-respecting colour refinement to the stable partition and return
-/// `(colors, num_classes)` with colours dense in `0..num_classes` ordered by
-/// sorted signature (hence invariant under node renumbering).
-fn refine(g: &Graph) -> (Vec<usize>, usize) {
-    let n = g.num_nodes();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    // Initial colours: dense rank of the degree.
-    let mut distinct: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let mut colors: Vec<usize> = (0..n)
-        .map(|v| distinct.partition_point(|&d| d < g.degree(v)))
-        .collect();
-    let mut num_classes = distinct.len();
-    loop {
-        // Signature of v: own colour, then per port (neighbour colour,
-        // reverse port). Sorting signatures and re-ranking densely keeps the
-        // colour values themselves renumbering-invariant at every round.
-        let mut sigs: Vec<(Vec<u64>, NodeId)> = (0..n)
-            .map(|v| {
-                let row = g.neighbor_slice(v);
-                let mut sig = Vec::with_capacity(1 + 2 * row.len());
-                sig.push(colors[v] as u64);
-                for &(u, q) in row {
-                    sig.push(colors[u] as u64);
-                    sig.push(q as u64);
-                }
-                (sig, v)
-            })
-            .collect();
-        sigs.sort_unstable();
-        let mut next = vec![0usize; n];
-        let mut rank = 0usize;
-        for i in 0..n {
-            if i > 0 && sigs[i].0 != sigs[i - 1].0 {
-                rank += 1;
-            }
-            next[sigs[i].1] = rank;
-        }
-        let new_classes = rank + 1;
-        let stable = new_classes == num_classes;
-        colors = next;
-        num_classes = new_classes;
-        if stable {
-            return (colors, num_classes);
-        }
-    }
-}
-
 impl Graph {
-    /// Compute the [`CanonicalForm`]: the stable partition under
-    /// port-respecting colour refinement, with canonically ordered classes
-    /// and the flat quotient encoding. `O(rounds * m log n)` time, where
-    /// `rounds <= n` is the stabilization depth.
+    /// Compute the [`CanonicalForm`]: the stable row of the refinement
+    /// kernel ([`refine::until_stable`]), whose dense ranks follow the
+    /// kernel's key order and so are canonically ordered, plus the flat
+    /// quotient encoding. `O(rounds * m)` time with the kernel's
+    /// counting/radix sorts, where `rounds <= n` is the stabilization depth.
     pub fn canonical_form(&self) -> CanonicalForm {
-        let (colors, num_classes) = refine(self);
         let n = self.num_nodes();
+        let (mut colors, mut num_classes) = (Vec::new(), 0);
+        refine::until_stable(self, n, &RefineOptions::default(), |row, k| {
+            (colors, num_classes) = (row, k);
+        });
         // One representative per class: rows of same-class nodes are
-        // identical at stability (their signatures are equal), so any
+        // identical at stability (the partition no longer splits), so any
         // representative yields the same encoding.
         let mut rep: Vec<usize> = vec![usize::MAX; num_classes];
         let mut sizes: Vec<u64> = vec![0; num_classes];

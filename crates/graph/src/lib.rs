@@ -22,9 +22,15 @@
 //! * [`dot`] — Graphviz export with port labels (used to regenerate the
 //!   construction figures of the paper),
 //! * [`relabel`] — node/port permutations used by the lower-bound families,
-//! * [`canon`] — the canonical stable-partition form and the
-//!   quotient-insensitive [`Graph::canonical_hash`] (the `anet-service`
-//!   session-cache key),
+//! * [`refine`] — the workspace's one colour-refinement kernel: a
+//!   flat-buffer, sort-based ranking engine over any
+//!   [`DartRows`](refine::DartRows) source (a graph, or a quotient base's
+//!   dart rows), with bit-identical parallel passes
+//!   ([`RefineOptions`](refine::RefineOptions)) and the stopping rule
+//!   [`refine::until_stable`],
+//! * [`canon`] — the canonical stable-partition form (the kernel's stable
+//!   row) and the quotient-insensitive [`Graph::canonical_hash`] (the
+//!   `anet-service` session-cache key),
 //! * [`lift`] — permutation-voltage lifts (covering graphs / fibrations):
 //!   adversarial generators with controlled view quotients, used by the
 //!   `anet-conformance` corpus,
@@ -50,6 +56,7 @@ pub mod graph;
 pub mod lift;
 pub mod path;
 pub mod quotient;
+pub mod refine;
 pub mod relabel;
 
 pub use builder::GraphBuilder;

@@ -1,24 +1,34 @@
-//! Flat-buffer, sort-based partition refinement.
+//! Flat-buffer, sort-based partition refinement: the workspace's one
+//! colour-refinement kernel.
 //!
-//! This module is the allocation-free engine behind [`ViewClasses`]: it ranks
-//! the refinement keys of all nodes at one depth without materializing any
-//! per-node key objects. The refinement key of a node `v` at depth `d` is
+//! This module ranks the refinement keys of all nodes at one depth without
+//! materializing any per-node key objects. Every view-partition consumer
+//! reads its rows: `ViewClasses` in `anet-views` (the per-depth table behind
+//! φ, feasibility and the base-time analysis), [`Graph::canonical_form`]
+//! and, through it, [`MinimumBase::of`](crate::MinimumBase::of). The kernel
+//! runs over any [`DartRows`] source — a [`Graph`], or the dart rows
+//! `[Vec<(NodeId, Port)>]` of a quotient base. The refinement key of a node
+//! `v` at depth `d` is
 //!
 //! ```text
 //! (deg(v), [(q_0, c_0), (q_1, c_1), ..., (q_{deg(v)-1}, c_{deg(v)-1})])
 //! ```
 //!
-//! where `q_p` is the reverse port of the edge at port `p` and `c_p` is the
-//! depth-`d-1` class of the neighbor behind port `p`. Two nodes have equal
+//! where `q_p` is the reverse port of the dart at port `p` and `c_p` is the
+//! depth-`d-1` class of the node behind port `p`. Two nodes have equal
 //! keys iff their views at depth `d` are equal, and key order mirrors the
 //! canonical view order (degree first, then the port sequence
-//! lexicographically).
+//! lexicographically). Ranks depend only on keys, never on node ids, so
+//! every row is invariant under renumbering.
+//!
+//! [`until_stable`] is the stopping rule: refine until the class count
+//! reaches a target node count, or stops growing.
 //!
 //! ## Data layout
 //!
 //! The scratch is a flattened CSR structure shared by every depth:
 //!
-//! * `offsets` — `n + 1` prefix sums of degrees, built once per graph. Node
+//! * `offsets` — `n + 1` prefix sums of degrees, built once per source. Node
 //!   `v`'s key words live at `words[offsets[v]..offsets[v + 1]]`; the slice
 //!   length *is* the degree, so degree-first comparison falls out of a
 //!   `(len, slice)` comparison.
@@ -47,8 +57,8 @@
 //!    the distinct keys in canonical order.
 //!
 //! With [`RefineOptions::threads`] ` > 1` every stage runs on
-//! `std::thread::scope` workers (mirroring `anet-sim`'s parallel executor)
-//! and produces **bit-identical** ranks to the sequential path:
+//! `std::thread::scope` workers and produces **bit-identical** ranks to the
+//! sequential path:
 //!
 //! * the key fill splits the CSR word buffer into disjoint per-chunk slices,
 //! * the degree counting sort becomes the textbook parallel counting sort —
@@ -66,14 +76,14 @@
 //!   `O(Δ)`-per-element comparisons) and a sequential `O(n)` prefix
 //!   accumulation over the flags.
 //!
-//! The only per-depth allocation is the returned class row itself, which is
-//! the output stored in the [`ViewClasses`] table.
-//!
-//! [`ViewClasses`]: crate::ViewClasses
+//! The only per-depth allocation is the returned class row itself.
 
-use anet_graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, Port};
 
-use crate::classes::ClassId;
+/// A dense class identifier. Classes at depth `d` are numbered `0..k_d` in
+/// the canonical order of the corresponding views (class 0 is the
+/// lexicographically smallest view at that depth).
+pub type ClassId = usize;
 
 /// Largest bucket count the radix path may ask of the reused histogram
 /// (64 Ki buckets = 512 KiB of `usize` counts, allocated lazily once).
@@ -104,15 +114,81 @@ impl Default for RefineOptions {
     }
 }
 
-/// Reusable scratch state for refining one graph across depths.
+/// The dart structure the kernel refines: `row(v)[p] = (u, q)` when port `p`
+/// of node `v` leads to node `u`, arriving on port `q`. Implemented by
+/// [`Graph`] and by the dart rows of a quotient base, whose rows may hold
+/// self-loops, parallel darts and darts that are their own partner.
+pub trait DartRows: Sync {
+    /// Number of nodes (rows).
+    fn num_nodes(&self) -> usize;
+    /// The darts of node `v`, in port order.
+    fn row(&self, v: NodeId) -> &[(NodeId, Port)];
+}
+
+impl DartRows for Graph {
+    fn num_nodes(&self) -> usize {
+        Graph::num_nodes(self)
+    }
+
+    fn row(&self, v: NodeId) -> &[(NodeId, Port)] {
+        self.neighbor_slice(v)
+    }
+}
+
+impl DartRows for [Vec<(NodeId, Port)>] {
+    fn num_nodes(&self) -> usize {
+        self.len()
+    }
+
+    fn row(&self, v: NodeId) -> &[(NodeId, Port)] {
+        &self[v]
+    }
+}
+
+/// The stopping rule, written once: ranks `src` at depth 0, then extends
+/// depth by depth, and stops at depth `d` when the class count reaches
+/// `target`, or at `d + 1` when an extension does not grow the count (the
+/// partition is then the same at every deeper depth). Every row, depth 0
+/// first, is handed to `keep` with its class count; returns the stopping
+/// depth.
 ///
-/// Construct once per graph with [`Refiner::new`], then call
+/// `target` is the number of nodes the rows describe: `src.num_nodes()`
+/// for a graph, and `C · fold` for the base of a `fold`-sheeted cover,
+/// whose rows are the cover's rows pushed through the covering map.
+pub fn until_stable<S: DartRows + ?Sized>(
+    src: &S,
+    target: usize,
+    opts: &RefineOptions,
+    mut keep: impl FnMut(Vec<ClassId>, usize),
+) -> usize {
+    let mut refiner = Refiner::new(src);
+    let (mut row, mut k) = refiner.rank_by_degree();
+    let mut depth = 0;
+    while k != target {
+        let (next, k_next) = refiner.extend(src, &row, k, opts);
+        keep(std::mem::replace(&mut row, next), k);
+        depth += 1;
+        let grew = k_next != k;
+        k = k_next;
+        if !grew {
+            break;
+        }
+    }
+    keep(row, k);
+    depth
+}
+
+/// Reusable scratch state for refining one dart source across depths.
+///
+/// Construct once per source with [`Refiner::new`], then call
 /// [`rank_by_degree`](Refiner::rank_by_degree) for depth 0 and
 /// [`extend`](Refiner::extend) once per further depth. All internal buffers
 /// are reused between calls.
 #[derive(Debug)]
 pub struct Refiner {
     n: usize,
+    /// Largest row length `Δ` (the degree histogram has `Δ + 1` buckets).
+    max_degree: usize,
     /// CSR offsets: node `v`'s words live at `words[offsets[v]..offsets[v+1]]`.
     offsets: Vec<usize>,
     /// Packed `(reverse_port, neighbor_class)` words for the current depth.
@@ -136,20 +212,24 @@ pub struct Refiner {
 }
 
 impl Refiner {
-    /// Allocates scratch sized for `g`; the only allocations the engine ever
-    /// performs besides the per-depth output rows (the per-thread rows grow
-    /// lazily on the first parallel pass).
-    pub fn new(g: &Graph) -> Self {
-        let n = g.num_nodes();
+    /// Allocates scratch sized for `src`; the only allocations the engine
+    /// ever performs besides the per-depth output rows (the per-thread rows
+    /// grow lazily on the first parallel pass).
+    pub fn new<S: DartRows + ?Sized>(src: &S) -> Self {
+        let n = src.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut total = 0usize;
+        let mut max_degree = 0;
         offsets.push(0);
         for v in 0..n {
-            total += g.degree(v);
+            let deg = src.row(v).len();
+            max_degree = max_degree.max(deg);
+            total += deg;
             offsets.push(total);
         }
         Refiner {
             n,
+            max_degree,
             offsets,
             words: vec![0; total],
             order: vec![0; n],
@@ -165,15 +245,15 @@ impl Refiner {
     /// Depth-0 ranking: dense ranks of the node degrees (the depth-0 key is
     /// the degree alone). Returns the class row and the class count. One
     /// `O(n)` counting pass — always sequential.
-    pub fn rank_by_degree(&mut self, g: &Graph) -> (Vec<ClassId>, usize) {
-        self.sort_by_degree(g, 1);
+    pub fn rank_by_degree(&mut self) -> (Vec<ClassId>, usize) {
+        self.sort_by_degree(1);
         let mut ranks = vec![0; self.n];
         let mut k = 0;
         if self.n > 0 {
             let mut rank = 0;
             ranks[self.order[0]] = 0;
             for i in 1..self.n {
-                if g.degree(self.order[i]) != g.degree(self.order[i - 1]) {
+                if self.degree(self.order[i]) != self.degree(self.order[i - 1]) {
                     rank += 1;
                 }
                 ranks[self.order[i]] = rank;
@@ -184,38 +264,48 @@ impl Refiner {
     }
 
     /// One depth extension: given the previous depth's class row `prev` with
-    /// `k_prev` classes, computes the class row of the next depth. This is
-    /// the shared step behind both `ViewClasses::compute` and
-    /// `ViewClasses::compute_until_stable`.
-    pub fn extend(
+    /// `k_prev` classes, computes the class row of the next depth. `src`
+    /// must be the source the refiner was built for.
+    pub fn extend<S: DartRows + ?Sized>(
         &mut self,
-        g: &Graph,
+        src: &S,
         prev: &[ClassId],
         k_prev: usize,
         opts: &RefineOptions,
     ) -> (Vec<ClassId>, usize) {
         debug_assert_eq!(prev.len(), self.n);
         let threads = opts.threads.max(1);
-        self.fill_keys(g, prev, k_prev, threads);
-        self.sort_by_degree(g, threads);
-        self.sort_groups_by_words(g, k_prev, threads);
+        self.fill_keys(src, prev, k_prev, threads);
+        self.sort_by_degree(threads);
+        self.sort_groups_by_words(k_prev, threads);
         self.rank_sorted(threads)
     }
 
+    /// Degree of node `v` (the length of its CSR word slice).
+    fn degree(&self, v: NodeId) -> usize {
+        self.offsets[v + 1] - self.offsets[v]
+    }
+
     /// Key fill: `words[offsets[v] + p] = q_p * k_prev + c_p`.
-    fn fill_keys(&mut self, g: &Graph, prev: &[ClassId], k_prev: usize, threads: usize) {
+    fn fill_keys<S: DartRows + ?Sized>(
+        &mut self,
+        src: &S,
+        prev: &[ClassId],
+        k_prev: usize,
+        threads: usize,
+    ) {
         let k = k_prev as u64;
         if threads <= 1 || self.n < PARALLEL_MIN_NODES {
             for v in 0..self.n {
                 let base = self.offsets[v];
-                for (p, &(u, q)) in g.neighbor_slice(v).iter().enumerate() {
+                for (p, &(u, q)) in src.row(v).iter().enumerate() {
                     self.words[base + p] = q as u64 * k + prev[u] as u64;
                 }
             }
             return;
         }
         // Parallel path: disjoint word ranges per node chunk, one scoped
-        // thread each (same pattern as anet-sim's ParallelRunner phases).
+        // thread each.
         let n = self.n;
         let chunk = n.div_ceil(threads).max(1);
         let offsets = &self.offsets;
@@ -232,7 +322,7 @@ impl Refiner {
                 scope.spawn(move || {
                     let mut w = 0;
                     for v in lo..hi {
-                        for &(u, q) in g.neighbor_slice(v) {
+                        for &(u, q) in src.row(v) {
                             mine[w] = q as u64 * k + prev[u] as u64;
                             w += 1;
                         }
@@ -246,41 +336,44 @@ impl Refiner {
     /// component). With `threads > 1` this is the parallel counting sort
     /// described in the [module docs](self); its output is bit-identical to
     /// the sequential pass.
-    fn sort_by_degree(&mut self, g: &Graph, threads: usize) {
-        let buckets = g.max_degree() + 1;
+    fn sort_by_degree(&mut self, threads: usize) {
+        let buckets = self.max_degree + 1;
         let threads = threads.max(1).min(self.n.max(1));
         if threads <= 1 || self.n < PARALLEL_MIN_NODES || buckets > RADIX_MAX_BUCKETS {
             self.reset_counts(buckets);
             for v in 0..self.n {
-                self.counts[g.degree(v)] += 1;
+                let deg = self.degree(v);
+                self.counts[deg] += 1;
             }
             prefix_sums(&mut self.counts[..buckets]);
             for v in 0..self.n {
-                let slot = &mut self.counts[g.degree(v)];
+                let deg = self.degree(v);
+                let slot = &mut self.counts[deg];
                 self.order[*slot] = v;
                 *slot += 1;
             }
             return;
         }
-        self.parallel_sort_by_degree(g, buckets, threads);
+        self.parallel_sort_by_degree(buckets, threads);
     }
 
     /// The four-phase parallel counting sort: per-chunk histograms, local
     /// stable scatters into `aux`, a sequential global prefix merge, and a
     /// bucket-major parallel merge back into `order`.
-    fn parallel_sort_by_degree(&mut self, g: &Graph, buckets: usize, threads: usize) {
+    fn parallel_sort_by_degree(&mut self, buckets: usize, threads: usize) {
         let n = self.n;
         let chunk = n.div_ceil(threads);
         let used = n.div_ceil(chunk);
         self.ensure_thread_rows(used, buckets);
         // Phase 1 (parallel): per-chunk degree histograms.
+        let offsets: &[usize] = &self.offsets;
         std::thread::scope(|scope| {
             for (t, row) in self.thread_counts.iter_mut().take(used).enumerate() {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
                 scope.spawn(move || {
                     for v in lo..hi {
-                        row[g.degree(v)] += 1;
+                        row[offsets[v + 1] - offsets[v]] += 1;
                     }
                 });
             }
@@ -289,11 +382,13 @@ impl Refiner {
         // each chunk scattering through its own exclusive-prefix cursors.
         {
             let Refiner {
+                offsets,
                 aux,
                 thread_counts,
                 thread_offsets,
                 ..
             } = self;
+            let offsets: &[usize] = offsets;
             std::thread::scope(|scope| {
                 let mut rest: &mut [NodeId] = aux;
                 for (t, (row, offs)) in thread_counts
@@ -313,7 +408,7 @@ impl Refiner {
                             running += row[b];
                         }
                         for v in lo..hi {
-                            let slot = &mut offs[g.degree(v)];
+                            let slot = &mut offs[offsets[v + 1] - offsets[v]];
                             mine[*slot] = v;
                             *slot += 1;
                         }
@@ -398,10 +493,10 @@ impl Refiner {
     /// split) and the batches sort concurrently, each worker with its own
     /// histogram row; the radix/comparison choice per group is independent
     /// of the batching, so the sorted `order` is the sequential pass's.
-    fn sort_groups_by_words(&mut self, g: &Graph, k_prev: usize, threads: usize) {
+    fn sort_groups_by_words(&mut self, k_prev: usize, threads: usize) {
         // Upper bound on any packed word: reverse ports are < Δ and classes
         // are < k_prev.
-        let word_bound = (g.max_degree() as u64) * (k_prev as u64);
+        let word_bound = (self.max_degree as u64) * (k_prev as u64);
         let radix_buckets = if 1 <= word_bound && word_bound <= RADIX_MAX_BUCKETS as u64 {
             Some(word_bound as usize)
         } else {
@@ -418,11 +513,12 @@ impl Refiner {
                 counts,
                 ..
             } = self;
+            let degree = |v: NodeId| offsets[v + 1] - offsets[v];
             let mut start = 0;
             while start < *n {
-                let deg = g.degree(order[start]);
+                let deg = degree(order[start]);
                 let mut end = start + 1;
-                while end < *n && g.degree(order[end]) == deg {
+                while end < *n && degree(order[end]) == deg {
                     end += 1;
                 }
                 if deg > 0 && end - start > 1 {
@@ -438,9 +534,9 @@ impl Refiner {
         self.group_bounds.clear();
         let mut start = 0;
         while start < self.n {
-            let deg = g.degree(self.order[start]);
+            let deg = self.degree(self.order[start]);
             let mut end = start + 1;
-            while end < self.n && g.degree(self.order[end]) == deg {
+            while end < self.n && self.degree(self.order[end]) == deg {
                 end += 1;
             }
             self.group_bounds.push((start, end));
@@ -491,7 +587,8 @@ impl Refiner {
                 let bounds = &group_bounds[glo..ghi];
                 scope.spawn(move || {
                     for &(s, e) in bounds {
-                        let deg = g.degree(o_mine[s - elo]);
+                        let v = o_mine[s - elo];
+                        let deg = offsets[v + 1] - offsets[v];
                         if deg > 0 && e - s > 1 {
                             let o = &mut o_mine[s - elo..e - elo];
                             let a = &mut a_mine[s - elo..e - elo];
@@ -680,15 +777,14 @@ fn prefix_sums(counts: &mut [usize]) {
 
 /// The seed engine, kept verbatim as the correctness oracle and the ablation
 /// baseline: per-depth key materialization into `(usize, Vec<(Port, ClassId)>)`
-/// tuples ranked through `BTreeMap`s. Hidden from docs; use
-/// [`ViewClasses`](crate::ViewClasses) for real work.
+/// tuples ranked through `BTreeMap`s. Hidden from docs; use [`Refiner`] (or
+/// `anet_views::ViewClasses`) for real work.
 #[doc(hidden)]
 pub mod legacy {
     use std::collections::BTreeMap;
 
-    use anet_graph::{Graph, Port};
-
-    use crate::classes::ClassId;
+    use super::ClassId;
+    use crate::graph::{Graph, Port};
 
     /// A materialized refinement key (the seed representation).
     pub type Key = (usize, Vec<(Port, ClassId)>);
@@ -746,14 +842,14 @@ pub mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anet_graph::generators;
+    use crate::generators;
 
     /// Runs the new engine and the legacy oracle side by side over all
     /// depths and asserts identical class rows and counts.
     fn check_against_legacy(g: &Graph, max_depth: usize, opts: &RefineOptions) {
         let (legacy_classes, legacy_counts) = legacy::compute(g, max_depth);
         let mut refiner = Refiner::new(g);
-        let (mut row, mut k) = refiner.rank_by_degree(g);
+        let (mut row, mut k) = refiner.rank_by_degree();
         assert_eq!(row, legacy_classes[0], "depth 0 rows");
         assert_eq!(k, legacy_counts[0], "depth 0 counts");
         for d in 1..=max_depth {
@@ -788,7 +884,7 @@ mod tests {
     fn check_thread_sweep(g: &Graph, depths: usize) {
         let seq = RefineOptions { threads: 1 };
         let mut a = Refiner::new(g);
-        let (row0, k0) = a.rank_by_degree(g);
+        let (row0, k0) = a.rank_by_degree();
         let mut seq_rows = vec![(row0.clone(), k0)];
         for d in 1..=depths {
             let (prev, kp) = seq_rows[d - 1].clone();
@@ -797,7 +893,7 @@ mod tests {
         for threads in [2usize, 3, 8] {
             let par = RefineOptions { threads };
             let mut b = Refiner::new(g);
-            let (row0b, k0b) = b.rank_by_degree(g);
+            let (row0b, k0b) = b.rank_by_degree();
             assert_eq!((&row0b, k0b), (&seq_rows[0].0, seq_rows[0].1));
             for d in 1..=depths {
                 let (prev, kp) = &seq_rows[d - 1];
@@ -867,8 +963,8 @@ mod tests {
         let par = RefineOptions { threads: 4 };
         let mut a = Refiner::new(&g);
         let mut b = Refiner::new(&g);
-        let (row_a, k_a) = a.rank_by_degree(&g);
-        let (row_b, k_b) = b.rank_by_degree(&g);
+        let (row_a, k_a) = a.rank_by_degree();
+        let (row_b, k_b) = b.rank_by_degree();
         assert_eq!((&row_a, k_a), (&row_b, k_b));
         let (mut ra, mut ka) = (row_a, k_a);
         for _ in 0..4 {
@@ -893,7 +989,7 @@ mod tests {
     fn single_node_graph_is_one_class() {
         let g = Graph::from_adjacency(vec![vec![]]).unwrap();
         let mut refiner = Refiner::new(&g);
-        let (row, k) = refiner.rank_by_degree(&g);
+        let (row, k) = refiner.rank_by_degree();
         assert_eq!(row, vec![0]);
         assert_eq!(k, 1);
         let (row2, k2) = refiner.extend(&g, &row, k, &RefineOptions::default());
@@ -903,5 +999,31 @@ mod tests {
         // still be accepted.
         let (row3, k3) = refiner.extend(&g, &row, k, &RefineOptions { threads: 8 });
         assert_eq!((row3, k3), (vec![0], 1));
+    }
+
+    /// A fold-1 identity-voltage lift is the base graph with ports assigned
+    /// in edge order: the kernel must rank the base's dart-row slice and the
+    /// materialized lift identically, row for row, at every thread count.
+    #[test]
+    fn dart_row_slices_rank_like_the_graph_they_describe() {
+        use crate::lift::{identity_voltage, VoltageGraph};
+        use crate::quotient::base_dart_rows;
+        for n in [40, PARALLEL_MIN_NODES + 97] {
+            if cfg!(miri) && n > PARALLEL_MIN_NODES {
+                continue; // too large for the interpreter
+            }
+            let base = generators::random_connected_sparse(n, n / 2, 3);
+            let vg = VoltageGraph::from_graph(&base, 1, &identity_voltage(1));
+            let rows = base_dart_rows(&vg);
+            let lift = vg.lift().unwrap();
+            for threads in [1usize, 2, 8] {
+                let opts = RefineOptions { threads };
+                let (mut from_rows, mut from_graph) = (Vec::new(), Vec::new());
+                let d_rows = until_stable(&rows[..], n, &opts, |r, k| from_rows.push((r, k)));
+                let d_graph = until_stable(&lift, n, &opts, |r, k| from_graph.push((r, k)));
+                assert_eq!(d_rows, d_graph, "n {n}, {threads} threads");
+                assert_eq!(from_rows, from_graph, "n {n}, {threads} threads");
+            }
+        }
     }
 }

@@ -37,11 +37,12 @@
 //! Because the shared arena is mutex-*striped* (16 independent shards keyed
 //! by the structural hash) rather than a single mutex, concurrent
 //! [`ComNode::receive`](crate::runner::NodeAlgorithm::receive) calls from
-//! the multi-threaded `ParallelRunner` intern in parallel with low
-//! contention. Interleaving can change the *numeric* ids a run mints, but
-//! never which records exist — every structural observable (materialized
-//! views, class partitions, election outputs) is schedule-independent,
-//! which the transcript-equality and arena-oracle property tests pin down.
+//! the multi-threaded [`AdvRunner`](crate::adv::AdvRunner) intern in
+//! parallel with low contention. Interleaving can change the *numeric* ids
+//! a run mints, but never which records exist — every structural
+//! observable (materialized views, class partitions, election outputs) is
+//! schedule-independent, which the transcript-equality and arena-oracle
+//! property tests pin down.
 //!
 //! ```
 //! use anet_graph::generators;

@@ -15,9 +15,6 @@
 //!   message per port, receive one message per port, optionally halt with an
 //!   election output),
 //! * [`SyncRunner`] — the deterministic sequential round engine,
-//! * [`parallel::ParallelRunner`] — a scoped-thread executor that runs the
-//!   per-node send/receive phases on worker threads; it produces exactly the
-//!   same transcript as the sequential engine (checked by tests),
 //! * [`com`] — the `COM(i)` view-exchange subroutine (Algorithm 1): nodes
 //!   repeatedly exchange their augmented truncated views, so that after `t`
 //!   rounds every node holds `B^t(v)`; this is both a building block of the
@@ -57,7 +54,6 @@ pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod link;
-pub mod parallel;
 pub mod restart;
 pub mod runner;
 

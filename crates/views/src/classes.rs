@@ -5,18 +5,15 @@
 //! view trees (whose size grows as `degree^depth`) and is the engine behind
 //! the election-index computation and the simulator's view oracle.
 //!
-//! The per-depth ranking work is delegated to [`crate::refine`], which keeps
-//! one flat reusable scratch per graph; this module only owns the resulting
-//! class table and the depth-iteration strategies.
+//! The per-depth ranking work and the stopping rule are delegated to the
+//! [`anet_graph::refine`] kernel, which keeps one flat reusable scratch per
+//! dart source; this module only owns the resulting class table and the
+//! depth-iteration strategies.
 
+use anet_graph::refine::{self, DartRows, RefineOptions, Refiner};
 use anet_graph::{Graph, NodeId};
 
-use crate::refine::{RefineOptions, Refiner};
-
-/// A dense class identifier. Classes at depth `d` are numbered `0..k_d` in
-/// the canonical order of the corresponding views (class 0 is the
-/// lexicographically smallest view at that depth).
-pub type ClassId = usize;
+pub use anet_graph::refine::ClassId;
 
 /// Table of view-equivalence classes for all depths `0..=max_depth`.
 ///
@@ -29,7 +26,7 @@ pub type ClassId = usize;
 ///
 /// Both are checked by property tests against the explicit trees, and the
 /// flat-buffer engine is additionally checked against the seed `BTreeMap`
-/// ranking kept in `refine::legacy`.
+/// ranking kept in `anet_graph::refine::legacy`.
 #[derive(Debug, Clone)]
 pub struct ViewClasses {
     /// `classes[d][v]` = class id of `B^d(v)`.
@@ -55,7 +52,13 @@ impl ViewClasses {
     /// [`compute`](Self::compute) with explicit engine options (e.g. a
     /// thread count for the parallel key-fill phase).
     pub fn compute_with(g: &Graph, max_depth: usize, opts: &RefineOptions) -> Self {
-        let (mut table, mut refiner) = Self::depth_zero(g);
+        let mut refiner = Refiner::new(g);
+        let (c0, k0) = refiner.rank_by_degree();
+        let mut table = ViewClasses {
+            classes: vec![c0],
+            num_classes: vec![k0],
+            fixed_at: None,
+        };
         for _ in 1..=max_depth {
             table.extend_one_depth(g, &mut refiner, opts);
         }
@@ -77,45 +80,48 @@ impl ViewClasses {
     /// [`compute_until_stable`](Self::compute_until_stable) with explicit
     /// engine options.
     pub fn compute_until_stable_with(g: &Graph, opts: &RefineOptions) -> (Self, usize) {
-        let n = g.num_nodes();
-        let (mut table, mut refiner) = Self::depth_zero(g);
-        loop {
-            let d = table.max_depth();
-            if table.num_classes[d] == n {
-                return (table, d);
-            }
-            if table.extend_one_depth(g, &mut refiner, opts) {
-                return (table, d + 1);
-            }
-        }
+        Self::compute_until_stable_over(g, g.num_nodes(), opts)
     }
 
-    /// The depth-0 table (classes by degree) plus the reusable engine
-    /// scratch for extending it.
-    fn depth_zero(g: &Graph) -> (Self, Refiner) {
-        let mut refiner = Refiner::new(g);
-        let (c0, k0) = refiner.rank_by_degree(g);
+    /// [`compute_until_stable_with`](Self::compute_until_stable_with) over
+    /// any dart source, with the stopping rule counting against `target`
+    /// nodes: `C · fold` for the dart rows of the base of a `fold`-sheeted
+    /// cover (see [`crate::quotient`]). Rows are indexed by the source's
+    /// nodes.
+    pub fn compute_until_stable_over<S: DartRows + ?Sized>(
+        src: &S,
+        target: usize,
+        opts: &RefineOptions,
+    ) -> (Self, usize) {
+        let (mut classes, mut num_classes) = (Vec::new(), Vec::new());
+        let stable = refine::until_stable(src, target, opts, |row, k| {
+            classes.push(row);
+            num_classes.push(k);
+        });
+        let fixed_at = classes.windows(2).position(|w| w[0] == w[1]);
         let table = ViewClasses {
-            classes: vec![c0],
-            num_classes: vec![k0],
-            fixed_at: None,
+            classes,
+            num_classes,
+            fixed_at,
         };
-        (table, refiner)
+        (table, stable)
     }
 
-    /// Extends the table by one depth through the shared refinement step and
-    /// returns whether the partition just stabilized (class count did not
-    /// grow).
-    fn extend_one_depth(&mut self, g: &Graph, refiner: &mut Refiner, opts: &RefineOptions) -> bool {
+    /// Extends the table by one depth through the kernel step, recording
+    /// the labeling fixed point when the new row repeats the last one.
+    fn extend_one_depth<S: DartRows + ?Sized>(
+        &mut self,
+        src: &S,
+        refiner: &mut Refiner,
+        opts: &RefineOptions,
+    ) {
         let d = self.max_depth();
-        let (row, k) = refiner.extend(g, &self.classes[d], self.num_classes[d], opts);
-        let stable = k == self.num_classes[d];
+        let (row, k) = refiner.extend(src, &self.classes[d], self.num_classes[d], opts);
         if self.fixed_at.is_none() && row == self.classes[d] {
             self.fixed_at = Some(d);
         }
         self.classes.push(row);
         self.num_classes.push(k);
-        stable
     }
 
     /// Extends the table so that [`row_at`](Self::row_at) can answer depth
@@ -126,14 +132,20 @@ impl ViewClasses {
     /// Each added row is the same deterministic function of its predecessor
     /// that [`compute`](Self::compute) applies, so a table extended on demand
     /// is indistinguishable from one computed to the target depth up front
-    /// (asserted by tests).
-    pub fn ensure_depth(&mut self, g: &Graph, depth: usize, opts: &RefineOptions) {
+    /// (asserted by tests). `src` is the source the table was computed
+    /// over (a graph, or the base dart rows of a quotient table).
+    pub fn ensure_depth<S: DartRows + ?Sized>(
+        &mut self,
+        src: &S,
+        depth: usize,
+        opts: &RefineOptions,
+    ) {
         if self.fixed_at.is_some() || depth <= self.max_depth() {
             return;
         }
-        let mut refiner = Refiner::new(g);
+        let mut refiner = Refiner::new(src);
         while self.max_depth() < depth && self.fixed_at.is_none() {
-            self.extend_one_depth(g, &mut refiner, opts);
+            self.extend_one_depth(src, &mut refiner, opts);
         }
     }
 
@@ -176,7 +188,7 @@ impl ViewClasses {
     /// against the original implementation; not part of the public API.
     #[doc(hidden)]
     pub fn compute_legacy(g: &Graph, max_depth: usize) -> Self {
-        let (classes, num_classes) = crate::refine::legacy::compute(g, max_depth);
+        let (classes, num_classes) = refine::legacy::compute(g, max_depth);
         ViewClasses {
             classes,
             num_classes,
@@ -255,7 +267,7 @@ mod tests {
     /// depth, on seeded random graphs. The `threads` runs here only cover
     /// the option plumbing (the graphs sit below the engine's parallel
     /// threshold); the threaded fill itself is exercised by
-    /// `refine::tests::parallel_key_fill_matches_sequential` and
+    /// `anet_graph::refine::tests::parallel_key_fill_matches_sequential` and
     /// `election_index::tests::analyze_with_threads_matches_sequential`.
     fn check_against_legacy_oracle(g: &Graph, max_depth: usize, threads: usize) {
         let oracle = ViewClasses::compute_legacy(g, max_depth);

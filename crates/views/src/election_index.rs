@@ -9,8 +9,9 @@
 
 use anet_graph::Graph;
 
+use anet_graph::refine::RefineOptions;
+
 use crate::classes::ViewClasses;
-use crate::refine::RefineOptions;
 use crate::view::AugmentedView;
 
 /// Result of the feasibility analysis of a graph.
@@ -36,16 +37,19 @@ pub fn analyze(g: &Graph) -> FeasibilityReport {
 /// for the parallel key-fill phase on large graphs).
 pub fn analyze_with(g: &Graph, opts: &RefineOptions) -> FeasibilityReport {
     let (table, stable_depth) = ViewClasses::compute_until_stable_with(g, opts);
-    report_from_table(&table, stable_depth)
+    report_from_table(&table, stable_depth, g.num_nodes())
 }
 
-/// Derives the [`FeasibilityReport`] from an already-stabilized class table
-/// (the output shape of [`ViewClasses::compute_until_stable`]): feasibility
-/// is reaching the discrete partition, and φ is the first all-distinct
-/// depth. Shared by [`analyze_with`] and by callers that keep the table
-/// itself (e.g. the election layer's analysis-caching `Instance`).
-pub fn report_from_table(table: &ViewClasses, stable_depth: usize) -> FeasibilityReport {
-    let n = table.classes_at(0).len();
+/// Derives the [`FeasibilityReport`] of an `n`-node graph from an
+/// already-stabilized class table (the output shape of
+/// [`ViewClasses::compute_until_stable`]): feasibility is reaching `n`
+/// classes, and φ is the first depth with `n` classes. `n` is the table's
+/// row length for a graph's own table, and the virtual node count
+/// `C · fold` for a quotient table over base darts. Shared by
+/// [`analyze_with`], [`BaseAnalysis::report`](crate::BaseAnalysis::report)
+/// and callers that keep the table itself (e.g. the election layer's
+/// analysis-caching `Instance`).
+pub fn report_from_table(table: &ViewClasses, stable_depth: usize, n: usize) -> FeasibilityReport {
     let distinct = table.num_classes(table.max_depth());
     if distinct < n {
         return FeasibilityReport {
@@ -57,7 +61,7 @@ pub fn report_from_table(table: &ViewClasses, stable_depth: usize) -> Feasibilit
     }
     // Feasible: φ is the first depth with n distinct classes.
     let phi = (0..=table.max_depth())
-        .find(|&d| table.all_distinct_at(d))
+        .find(|&d| table.num_classes(d) == n)
         .expect("discrete partition reached");
     FeasibilityReport {
         feasible: true,
@@ -213,7 +217,7 @@ mod tests {
         for seed in 0..2 {
             let g = generators::random_connected_sparse(3000, 3000, seed);
             let seq = analyze(&g);
-            let par = analyze_with(&g, &crate::refine::RefineOptions { threads: 4 });
+            let par = analyze_with(&g, &RefineOptions { threads: 4 });
             assert_eq!(seq, par, "seed {seed}");
         }
     }

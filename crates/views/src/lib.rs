@@ -24,21 +24,17 @@
 //!   Class ranks are assigned consistently with the canonical order of the
 //!   corresponding views, so the table can also answer "which node has the
 //!   lexicographically smallest view at depth `d`".
-//! * [`refine`] — the flat-buffer, sort-based ranking engine behind
-//!   [`ViewClasses`]: a CSR scratch of packed `u64` key words reused across
-//!   depths and counting/radix sorts for the ranking. With
-//!   [`RefineOptions::threads`] ` > 1` every stage — key fill, counting
-//!   sort, per-group radix sorts, rank sweep — runs on `std::thread::scope`
-//!   workers with bit-identical output, scaling the refinement to graphs
-//!   with millions of nodes.
+//!   The ranking engine is the workspace's one refinement kernel,
+//!   [`anet_graph::refine`]; [`RefineOptions`] (re-exported from there)
+//!   selects its thread count, with bit-identical output at every count.
 //! * [`election_index()`] — the election index `φ(G)`: the smallest `l` such
 //!   that the augmented truncated views at depth `l` of all nodes are
 //!   distinct (Proposition 2.1), or `None` when the graph is infeasible.
-//! * [`quotient`] — the base-time fast path: [`BaseAnalysis`] runs the exact
-//!   refinement recurrence on the minimum base (Boldi–Vigna fibrations) at
-//!   quotient size, and every row, count, φ and feasibility verdict pulls
-//!   back bit-identically to the covered graph; [`analyze_lift`] analyzes a
-//!   voltage lift without ever materializing it.
+//! * [`quotient`] — the base-time fast path: [`BaseAnalysis`] is a
+//!   [`ViewClasses`] table over the minimum base's dart rows (Boldi–Vigna
+//!   fibrations), refined at quotient size, and every row, count, φ and
+//!   feasibility verdict pulls back bit-identically to the covered graph;
+//!   [`analyze_lift`] analyzes a voltage lift without ever materializing it.
 //! * [`walks`] — walk-reachability sets (`reach_exact`, `reach_within`): the
 //!   graph nodes represented at a given depth of a view, used by the
 //!   simulator to evaluate view-based stopping conditions faithfully.
@@ -60,15 +56,14 @@ pub mod arena;
 pub mod classes;
 pub mod election_index;
 pub mod quotient;
-pub mod refine;
 pub mod sharded;
 pub mod view;
 pub mod walks;
 
+pub use anet_graph::refine::RefineOptions;
 pub use arena::{ViewArena, ViewId};
 pub use classes::{ClassId, ViewClasses};
 pub use election_index::{election_index, election_index_naive, is_feasible, FeasibilityReport};
 pub use quotient::{analyze_base, analyze_lift, analyze_lift_unchecked, BaseAnalysis};
-pub use refine::{RefineOptions, Refiner};
 pub use sharded::ShardedViewArena;
 pub use view::AugmentedView;

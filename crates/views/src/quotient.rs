@@ -7,15 +7,14 @@
 //! (target, reverse slot)`): by induction the per-depth class of `(b, i)`
 //! is the class of `b`, with **identical dense ranks** — the multiset of
 //! lift keys is `fold` copies of the base multiset, so sorting and
-//! dense-ranking assign the very same ids. [`BaseAnalysis`] runs the exact
-//! ranking recurrence of [`crate::refine`] (degree first, then the packed
-//! `q * k + c` word sequence, dense re-rank, the
-//! [`ViewClasses`](crate::ViewClasses) stopping rule against the *lift's*
-//! node count) on a structure of quotient size, and every result —
-//! per-depth class rows, distinct-view counts, stabilization depth,
-//! feasibility, φ — transfers back bit-identically through the covering
-//! map. The direct computation on the materialized lift remains the oracle
-//! (asserted by unit, property and conformance tests).
+//! dense-ranking assign the very same ids. [`BaseAnalysis`] is therefore a
+//! plain [`ViewClasses`] table built by the [`anet_graph::refine`] kernel
+//! over the base dart rows, with the stopping rule counting against the
+//! *lift's* node count `C · fold`; every result — per-depth class rows,
+//! distinct-view counts, stabilization depth, feasibility, φ — transfers
+//! back bit-identically through the covering map. The direct computation
+//! on the materialized lift remains the oracle (asserted by unit, property
+//! and conformance tests).
 //!
 //! Entry points: [`analyze_base`] for a [`MinimumBase`] built from a
 //! concrete graph, [`analyze_lift`] for a [`VoltageGraph`] whose lift never
@@ -29,124 +28,39 @@
 
 use anet_graph::lift::VoltageGraph;
 use anet_graph::quotient::{base_dart_rows, validate_lift, MinimumBase, QuotientError};
+use anet_graph::refine::RefineOptions;
 use anet_graph::Port;
 
-use crate::classes::ClassId;
-use crate::election_index::FeasibilityReport;
+use crate::classes::{ClassId, ViewClasses};
+use crate::election_index::{report_from_table, FeasibilityReport};
 
-/// The per-depth refinement table of a base multigraph, mirroring the
-/// `anet-views` engine's ranks and stopping rule for the lift it covers.
-/// Rows are indexed by base node; [`pullback_row`](BaseAnalysis::pullback_row)
-/// transfers a row to the lift through the covering map.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The refinement table of a base multigraph, with the ranks and stopping
+/// rule of the lift it covers. Rows are indexed by base node;
+/// [`pullback_row`](BaseAnalysis::pullback_row) transfers a row to the lift
+/// through the covering map.
+#[derive(Debug, Clone)]
 pub struct BaseAnalysis {
-    rows: Vec<Vec<ClassId>>,
-    counts: Vec<usize>,
+    /// The class table over the base dart rows. Deepen it with
+    /// [`ViewClasses::ensure_depth`] over the same rows.
+    pub classes: ViewClasses,
     stable_depth: usize,
     fold: usize,
-    fixed_at: Option<usize>,
-}
-
-/// Depth-0 ranking: dense ranks of the base degrees (ascending), exactly as
-/// `Refiner::rank_by_degree` ranks the lift (every base degree appears
-/// `fold` times there, which leaves the dense ranks unchanged).
-fn rank_by_degree(darts: &[Vec<(usize, Port)>]) -> (Vec<ClassId>, usize) {
-    let mut distinct: Vec<usize> = darts.iter().map(Vec::len).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let ranks = darts
-        .iter()
-        .map(|row| distinct.partition_point(|&d| d < row.len()))
-        .collect();
-    (ranks, distinct.len())
-}
-
-/// One depth extension with the engine's exact key: `(deg, [q_p * k + c_p])`
-/// compared degree-first then lexicographically, dense re-rank over the
-/// sorted distinct keys.
-fn extend(darts: &[Vec<(usize, Port)>], prev: &[ClassId], k_prev: usize) -> (Vec<ClassId>, usize) {
-    let n = darts.len();
-    let k = k_prev as u64;
-    let mut keyed: Vec<(usize, Vec<u64>, usize)> = darts
-        .iter()
-        .enumerate()
-        .map(|(c, row)| {
-            let words: Vec<u64> = row
-                .iter()
-                .map(|&(d, q)| q as u64 * k + prev[d] as u64)
-                .collect();
-            (row.len(), words, c)
-        })
-        .collect();
-    keyed.sort_unstable();
-    let mut ranks = vec![0; n];
-    let mut rank = 0usize;
-    for i in 0..n {
-        if i > 0 && (keyed[i].0, &keyed[i].1) != (keyed[i - 1].0, &keyed[i - 1].1) {
-            rank += 1;
-        }
-        ranks[keyed[i].2] = rank;
-    }
-    let classes = if n == 0 { 0 } else { rank + 1 };
-    (ranks, classes)
 }
 
 impl BaseAnalysis {
-    /// Refines the base dart rows until the
-    /// [`ViewClasses`](crate::ViewClasses) stopping rule fires *for the
+    /// Refines the base dart rows until the stopping rule fires *for the
     /// lift*: stop at depth `d` when the class count reaches the lift's
     /// node count `darts.len() * fold` (only possible with `fold == 1`), or
     /// at `d + 1` when an extension stops growing the count.
     pub fn compute(darts: &[Vec<(usize, Port)>], fold: usize) -> BaseAnalysis {
-        let virtual_n = darts.len() * fold;
-        let (r0, k0) = rank_by_degree(darts);
-        let mut a = BaseAnalysis {
-            rows: vec![r0],
-            counts: vec![k0],
-            stable_depth: 0,
+        let opts = RefineOptions::default();
+        let (classes, stable_depth) =
+            ViewClasses::compute_until_stable_over(darts, darts.len() * fold, &opts);
+        BaseAnalysis {
+            classes,
+            stable_depth,
             fold,
-            fixed_at: None,
-        };
-        loop {
-            let d = a.rows.len() - 1;
-            if a.counts[d] == virtual_n {
-                a.stable_depth = d;
-                return a;
-            }
-            if a.extend_once(darts) {
-                a.stable_depth = d + 1;
-                return a;
-            }
         }
-    }
-
-    /// Extends by one depth; returns whether the partition just stabilized.
-    /// Mirrors `ViewClasses::extend_one_depth` including the labeling
-    /// fixed-point detection.
-    fn extend_once(&mut self, darts: &[Vec<(usize, Port)>]) -> bool {
-        let d = self.rows.len() - 1;
-        let (row, k) = extend(darts, &self.rows[d], self.counts[d]);
-        let stable = k == self.counts[d];
-        if self.fixed_at.is_none() && row == self.rows[d] {
-            self.fixed_at = Some(d);
-        }
-        self.rows.push(row);
-        self.counts.push(k);
-        stable
-    }
-
-    /// Grows the table until it can answer depth `depth` (or a labeling
-    /// fixed point makes every deeper row known); the exact analogue of
-    /// `ViewClasses::ensure_depth`.
-    pub fn ensure_depth(&mut self, darts: &[Vec<(usize, Port)>], depth: usize) {
-        while self.max_depth() < depth && self.fixed_at.is_none() {
-            self.extend_once(darts);
-        }
-    }
-
-    /// Deepest stored row.
-    pub fn max_depth(&self) -> usize {
-        self.rows.len() - 1
     }
 
     /// The first depth at which the class count stopped growing.
@@ -159,45 +73,15 @@ impl BaseAnalysis {
         self.fold
     }
 
-    /// The stored depth serving depth `d` (the fixed-point row for deeper
-    /// queries).
-    ///
-    /// # Panics
-    /// Panics if `d` exceeds [`max_depth`](Self::max_depth) and no labeling
-    /// fixed point has been reached — call
-    /// [`ensure_depth`](Self::ensure_depth) first.
-    fn resolved_depth(&self, d: usize) -> usize {
-        if d <= self.max_depth() {
-            d
-        } else {
-            assert!(
-                self.fixed_at.is_some(),
-                "depth {d} exceeds max_depth {} without a fixed point; \
-                 call ensure_depth first",
-                self.max_depth()
-            );
-            self.max_depth()
-        }
-    }
-
-    /// The base class row at depth `d` (one rank per base node), with the
-    /// same deep-depth resolution as `ViewClasses::row_at`.
-    pub fn class_row(&self, d: usize) -> &[ClassId] {
-        &self.rows[self.resolved_depth(d)]
-    }
-
-    /// Number of distinct classes at depth `d` — of the base *and* of the
-    /// covered lift (the covering map never merges nor splits key values).
-    pub fn num_classes_at(&self, d: usize) -> usize {
-        self.counts[self.resolved_depth(d)]
-    }
-
     /// Transfers the depth-`d` class row to the lift through the covering
     /// map `colors` (lift node `v` belongs to base node `colors[v]`). The
     /// result is bit-identical to the direct `ViewClasses` row of the lift
     /// at every depth.
+    ///
+    /// # Panics
+    /// As [`ViewClasses::row_at`]: deepen [`classes`](Self::classes) first.
     pub fn pullback_row(&self, d: usize, colors: &[usize]) -> Vec<ClassId> {
-        let row = self.class_row(d);
+        let row = self.classes.row_at(d);
         colors.iter().map(|&c| row[c]).collect()
     }
 
@@ -206,24 +90,8 @@ impl BaseAnalysis {
     /// stabilization depth, feasibility (`fold == 1` and discrete base) and
     /// φ (the first all-distinct depth).
     pub fn report(&self) -> FeasibilityReport {
-        let n = self.rows[0].len() * self.fold;
-        let max = self.max_depth();
-        let distinct = self.counts[max];
-        if distinct < n {
-            return FeasibilityReport {
-                feasible: false,
-                election_index: None,
-                distinct_views: distinct,
-                stable_depth: self.stable_depth,
-            };
-        }
-        let phi = (0..=max).find(|&d| self.counts[d] == n).unwrap_or(max);
-        FeasibilityReport {
-            feasible: true,
-            election_index: Some(phi),
-            distinct_views: distinct,
-            stable_depth: self.stable_depth,
-        }
+        let n = self.classes.classes_at(0).len() * self.fold;
+        report_from_table(&self.classes, self.stable_depth, n)
     }
 }
 
@@ -267,7 +135,7 @@ mod tests {
         (0..vg.base_nodes * vg.fold).map(|v| v / vg.fold).collect()
     }
 
-    fn assert_base_matches_direct(g: &Graph, ba: &mut BaseAnalysis, colors: &[usize]) {
+    fn assert_base_matches_direct(g: &Graph, ba: &BaseAnalysis, colors: &[usize]) {
         let direct = analyze(g);
         assert_eq!(ba.report(), direct, "report transfer");
         let (table, stable) = ViewClasses::compute_until_stable(g);
@@ -278,7 +146,11 @@ mod tests {
                 table.row_at(d),
                 "pulled-back row at depth {d}"
             );
-            assert_eq!(ba.num_classes_at(d), table.num_classes(d), "count at {d}");
+            assert_eq!(
+                ba.classes.num_classes_deep(d),
+                table.num_classes(d),
+                "count at {d}"
+            );
         }
     }
 
@@ -303,8 +175,8 @@ mod tests {
                     "base {i} fold {fold}"
                 );
                 assert_eq!(analyze_lift_unchecked(&vg), analyze(&g));
-                let mut ba = BaseAnalysis::compute(&base_dart_rows(&vg), fold);
-                assert_base_matches_direct(&g, &mut ba, &lift_colors(&vg));
+                let ba = BaseAnalysis::compute(&base_dart_rows(&vg), fold);
+                assert_base_matches_direct(&g, &ba, &lift_colors(&vg));
             }
         }
     }
@@ -318,8 +190,8 @@ mod tests {
             };
             let base = MinimumBase::of(&g).unwrap();
             base.certify(&g).unwrap();
-            let mut ba = analyze_base(&base);
-            assert_base_matches_direct(&g, &mut ba, base.colors());
+            let ba = analyze_base(&base);
+            assert_base_matches_direct(&g, &ba, base.colors());
         }
     }
 
@@ -345,9 +217,9 @@ mod tests {
         let base = MinimumBase::of(&g).unwrap();
         let mut ba = analyze_base(&base);
         let (mut table, _) = ViewClasses::compute_until_stable(&g);
-        let opts = crate::refine::RefineOptions::default();
+        let opts = RefineOptions::default();
         for depth in [3usize, 10, 1_000] {
-            ba.ensure_depth(base.dart_rows(), depth);
+            ba.classes.ensure_depth(base.dart_rows(), depth, &opts);
             table.ensure_depth(&g, depth, &opts);
             assert_eq!(ba.pullback_row(depth, base.colors()), table.row_at(depth));
         }
