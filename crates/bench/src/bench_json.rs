@@ -17,6 +17,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use anet_conformance::json::escape;
 use anet_views::election_index::analyze_with;
 use anet_views::RefineOptions;
 
@@ -92,21 +93,6 @@ pub fn to_json(records: &[BenchRecord]) -> String {
 pub fn emit(path: &std::path::Path, records: &[BenchRecord]) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(to_json(records).as_bytes())
-}
-
-/// Minimal JSON string escaping (instance names only use ASCII printable
-/// characters, but quotes and backslashes must never corrupt the output).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use anet_conformance::json::escape;
 use anet_families::{necklace, ring_of_cliques};
 use anet_graph::generators;
 use anet_graph::lift::{VoltageEdge, VoltageGraph};
@@ -246,21 +247,6 @@ pub fn to_json(records: &[QuotientBenchRecord]) -> String {
 pub fn emit(path: &std::path::Path, records: &[QuotientBenchRecord]) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(to_json(records).as_bytes())
-}
-
-/// Minimal JSON string escaping (tier names are ASCII, but quotes and
-/// backslashes must never corrupt the output).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -146,9 +146,10 @@ pub fn emit_faults(path: &std::path::Path, reports: &[FaultReport]) -> std::io::
     file.write_all(faults_to_json(reports).as_bytes())
 }
 
-/// Minimal JSON string escaping (names are ASCII, but quotes and
-/// backslashes must never corrupt the output).
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping for the artifact writers: quotes and
+/// backslashes are escaped, control characters become `\uXXXX` (names are
+/// ASCII, but no name may corrupt the output).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

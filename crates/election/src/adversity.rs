@@ -5,8 +5,9 @@
 //! survives when it is not. [`Instance::elect_under`] re-runs the
 //! minimum-time `Elect` algorithm (same graph, same cached advice — the
 //! advice is stable storage, replayed by the node factory on every crash
-//! recovery) through [`AdvRunner`] under a [`FaultPlan`], with the `COM`
-//! exchange carried by a chosen [`ExecutionModel`]:
+//! recovery) through the round engine ([`anet_sim::AdvRunner`]) under a
+//! [`FaultPlan`], with the `COM` exchange carried by a chosen
+//! [`ExecutionModel`]:
 //!
 //! * [`ExecutionModel::Raw`] — the bare exchange. Correct only under
 //!   observationally invisible adversaries (phase skew); anything lossy
@@ -29,15 +30,11 @@
 //! outcome-identical, degraded-but-correct, or correctly-refused on this
 //! basis.
 
-use std::sync::Arc;
-
 use anet_graph::{NodeId, PortPath};
-use anet_sim::{AdvRunner, ComNode, FaultPlan, ReliableLink, Restartable, RunStats};
-use anet_views::ViewId;
-use parking_lot::Mutex;
+use anet_sim::{FaultPlan, ReliableLink, Restartable, RunStats};
 
 use crate::advice_build::decode_advice;
-use crate::elect::{collect_deposits, first_unhalted, outputs_from_view_ids};
+use crate::elect::drive_com;
 use crate::error::ElectionError;
 use crate::instance::Instance;
 use crate::verify::verify_election;
@@ -87,14 +84,11 @@ impl Instance {
         model: ExecutionModel,
         threads: usize,
     ) -> Result<AdversityOutcome, ElectionError> {
-        let advice_bits = self.advice()?.bits.clone();
-        let decoded = decode_advice(&advice_bits)?;
+        let decoded = decode_advice(&self.advice()?.bits)?;
         let phi = decoded.phi;
         let g = self.graph();
-        let n = g.num_nodes();
         let diameter = self.diameter();
         let arena = self.arena();
-        let acquired: Arc<Mutex<Vec<Option<ViewId>>>> = Arc::new(Mutex::new(vec![None; n]));
 
         // Wrapper budgets, derived from the graph: the stall threshold must
         // exceed the diameter (a travelling reset wave is not a wedge) and
@@ -113,35 +107,29 @@ impl Instance {
         let link_linger = 2 * window + 2;
         let max_rounds = 64 + 8 * (phi + diameter + stall + restart_linger + window);
 
-        let mk_com = |slot: usize| {
-            let acquired = Arc::clone(&acquired);
-            ComNode::new(Arc::clone(&arena), phi, move |_arena, view| {
-                acquired.lock()[slot] = Some(view);
-                PortPath::empty()
-            })
-        };
-        let runner = AdvRunner::with_threads(g, max_rounds, threads);
-        let outcome = match model {
-            ExecutionModel::Raw => runner.run(plan, |slot, _deg| mk_com(slot)),
-            ExecutionModel::ReliableLinks => runner.run(plan, |slot, _deg| {
-                ReliableLink::new(mk_com(slot), link_linger)
-            }),
-            ExecutionModel::Restartable => runner.run(plan, |slot, _deg| {
-                Restartable::new(move || mk_com(slot), stall, restart_linger)
-            }),
+        let sim = match model {
+            ExecutionModel::Raw => {
+                drive_com(g, &decoded, &arena, plan, threads, max_rounds, |com| {
+                    com.node()
+                })
+            }
+            ExecutionModel::ReliableLinks => {
+                drive_com(g, &decoded, &arena, plan, threads, max_rounds, |com| {
+                    ReliableLink::new(com.node(), link_linger)
+                })
+            }
+            ExecutionModel::Restartable => {
+                drive_com(g, &decoded, &arena, plan, threads, max_rounds, |com| {
+                    Restartable::new(move || com.node(), stall, restart_linger)
+                })
+            }
         }?;
-        let time = outcome
-            .election_time()
-            .ok_or_else(|| first_unhalted(&outcome.outputs))?;
-
-        let ids = collect_deposits(&acquired.lock())?;
-        let outputs = outputs_from_view_ids(&decoded, &arena, &ids)?;
-        let leader = verify_election(g, &outputs)?;
+        let leader = verify_election(g, &sim.outputs)?;
         Ok(AdversityOutcome {
             leader,
-            outputs,
-            time,
-            stats: outcome.stats,
+            outputs: sim.outputs,
+            time: sim.time,
+            stats: sim.stats,
         })
     }
 }

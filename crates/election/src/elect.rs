@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use anet_advice::BitString;
 use anet_graph::{Graph, NodeId, PortPath};
-use anet_sim::{ComNode, RunStats, SharedViewArena, SyncRunner};
+use anet_sim::{AdvRunner, ComNode, FaultPlan, NodeAlgorithm, RunStats, SharedViewArena};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 use parking_lot::Mutex;
 
@@ -171,26 +171,72 @@ pub fn simulate_election_in(
     // the model (the decoded advice is shared here only to avoid re-decoding
     // per node; decoding is deterministic so the result is identical).
     let decoded = decode_advice(advice_bits)?;
-    let phi = decoded.phi;
+    let max_rounds = decoded.phi + 1;
+    drive_com(
+        g,
+        &decoded,
+        arena,
+        &FaultPlan::none(),
+        1,
+        max_rounds,
+        |com| com.node(),
+    )
+}
 
-    // Phase 1: the COM exchange, depositing each node's B^φ id.
-    let acquired: Arc<Mutex<Vec<Option<ViewId>>>> = Arc::new(Mutex::new(vec![None; g.num_nodes()]));
-    let runner = SyncRunner::new(g, phi + 1);
-    let outcome = runner.run_indexed(|slot, _degree| {
-        let acquired = Arc::clone(&acquired);
-        ComNode::new(Arc::clone(arena), phi, move |_arena, view| {
+/// One node's `COM(φ)` instance in a [`drive_com`] run. It is handed to the
+/// run's carrier, which may keep it to rebuild the node after a crash.
+pub(crate) struct ComSlot {
+    arena: SharedViewArena,
+    phi: usize,
+    acquired: Arc<Mutex<Vec<Option<ViewId>>>>,
+    slot: usize,
+}
+
+impl ComSlot {
+    /// A fresh `ComNode` that deposits the node's acquired `B^φ` id into the
+    /// run's slot vector.
+    pub(crate) fn node(&self) -> ComNode<impl FnMut(&ShardedViewArena, ViewId) -> PortPath + Send> {
+        let acquired = Arc::clone(&self.acquired);
+        let slot = self.slot;
+        ComNode::new(Arc::clone(&self.arena), self.phi, move |_arena, view| {
             acquired.lock()[slot] = Some(view);
             PortPath::empty()
+        })
+    }
+}
+
+/// The node side of Algorithm `Elect`, for the clean pipeline and for
+/// [`Instance::elect_under`]: `COM(0..φ)` through the round engine under
+/// `plan`, each node carried by `carry` (the bare `ComNode` or a
+/// reliability wrapper around it), then the purely local output
+/// computation (shared across nodes; see the module docs for why this does
+/// not change any node's output).
+pub(crate) fn drive_com<A>(
+    g: &Graph,
+    decoded: &DecodedAdvice,
+    arena: &SharedViewArena,
+    plan: &FaultPlan,
+    threads: usize,
+    max_rounds: usize,
+    carry: impl Fn(ComSlot) -> A,
+) -> Result<Simulation, ElectionError>
+where
+    A: NodeAlgorithm + Send,
+{
+    let acquired = Arc::new(Mutex::new(vec![None; g.num_nodes()]));
+    let outcome = AdvRunner::with_threads(g, max_rounds, threads).run(plan, |slot, _degree| {
+        carry(ComSlot {
+            arena: Arc::clone(arena),
+            phi: decoded.phi,
+            acquired: Arc::clone(&acquired),
+            slot,
         })
     })?;
     let time = outcome
         .election_time()
         .ok_or_else(|| first_unhalted(&outcome.outputs))?;
-
-    // Phase 2: the purely local output computation (shared across nodes;
-    // see the module docs for why this does not change any node's output).
     let ids = collect_deposits(&acquired.lock())?;
-    let outputs = outputs_from_view_ids(&decoded, arena, &ids)?;
+    let outputs = outputs_from_view_ids(decoded, arena, &ids)?;
     Ok(Simulation {
         outputs,
         time,
@@ -202,7 +248,7 @@ pub fn simulate_election_in(
 /// Collects the per-node view ids a `COM` run deposited, erroring on any
 /// node that halted without depositing (impossible through [`ComNode`]'s
 /// callback, but the error path keeps the pipeline panic-free).
-pub(crate) fn collect_deposits(deposited: &[Option<ViewId>]) -> Result<Vec<ViewId>, ElectionError> {
+fn collect_deposits(deposited: &[Option<ViewId>]) -> Result<Vec<ViewId>, ElectionError> {
     deposited
         .iter()
         .enumerate()
@@ -211,11 +257,10 @@ pub(crate) fn collect_deposits(deposited: &[Option<ViewId>]) -> Result<Vec<ViewI
 }
 
 /// The purely local tail of Algorithm `Elect`, shared across nodes: label
-/// every acquired `B^φ(u)` and emit its tree path to the leader. Used by
-/// both the clean pipeline and the adversarial one
-/// ([`crate::adversity`]) — the acquired views determine the outputs, no
-/// matter which execution model delivered them.
-pub(crate) fn outputs_from_view_ids(
+/// every acquired `B^φ(u)` and emit its tree path to the leader. The
+/// acquired views determine the outputs, no matter which execution model
+/// delivered them.
+fn outputs_from_view_ids(
     decoded: &DecodedAdvice,
     arena: &ShardedViewArena,
     ids: &[ViewId],
@@ -247,7 +292,7 @@ pub(crate) fn outputs_from_view_ids(
 }
 
 /// The error naming the first node that failed to halt.
-pub(crate) fn first_unhalted(outputs: &[Option<PortPath>]) -> ElectionError {
+fn first_unhalted(outputs: &[Option<PortPath>]) -> ElectionError {
     let node = outputs.iter().position(Option::is_none).unwrap_or(0);
     ElectionError::NodeDidNotHalt { node }
 }

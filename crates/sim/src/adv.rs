@@ -1,12 +1,13 @@
-//! The adversarial round engine.
+//! The round engine, the only loop that runs the synchronous LOCAL model.
 //!
-//! [`AdvRunner`] generalizes [`SyncRunner`](crate::SyncRunner): each round
-//! it consults a [`FaultPlan`] for crash/recover events, per-port message
-//! drops, edge churn (through a [`DynamicGraph`] view) and phase skew, and
-//! otherwise executes the same three synchronous phases. Under
-//! [`FaultPlan::none`] its transcript is bit-identical to the sequential
-//! engine's (stats, outputs, halt rounds — property-tested), so everything
-//! certified about the clean engines transfers.
+//! Each round [`AdvRunner`] consults a [`FaultPlan`] for crash/recover
+//! events, per-port message drops, edge churn (through a [`DynamicGraph`]
+//! view) and phase skew, and otherwise executes the three synchronous
+//! phases: send, route, receive. Only the send and receive passes differ
+//! between a sequential run and a threaded one, and only the threaded pass
+//! needs the node algorithm to be `Send`. The clean model is this engine
+//! under [`FaultPlan::none`] ([`SyncRunner`](crate::SyncRunner)); tests pin
+//! its transcript to a test-only copy of the original sequential loop.
 //!
 //! Fault semantics:
 //!
@@ -41,11 +42,57 @@ use crate::error::SimError;
 use crate::fault::{CrashSemantics, FaultPlan};
 use crate::runner::{NodeAlgorithm, RunOutcome, RunStats};
 
-/// The fault-injecting executor of the synchronous LOCAL model.
+/// The executor of the synchronous LOCAL model, under an adversary.
 pub struct AdvRunner<'g> {
     graph: &'g Graph,
     max_rounds: usize,
     num_threads: usize,
+}
+
+/// One node's state inside the engine.
+struct Slot<A: NodeAlgorithm> {
+    /// The node's algorithm instance; `None` while the node is crashed.
+    node: Option<A>,
+    /// The round in which the node halted, and its output.
+    halted: Option<(usize, PortPath)>,
+    /// The messages the node sent this round, until routing takes them.
+    outbox: Option<Vec<Option<A::Message>>>,
+    /// The messages routed to the node this round, one entry per port,
+    /// until it receives them.
+    inbox: Vec<Option<A::Message>>,
+}
+
+/// How phases 1 (send) and 3 (receive) visit the nodes: the one part of a
+/// round that differs between the sequential and the threaded engine.
+trait Pass<T> {
+    /// Runs `step` once on every node's slot.
+    fn each(&self, round: usize, slots: &mut [T], step: impl Fn(&mut T) + Sync);
+}
+
+/// The sequential pass, in the plan's (possibly skewed) phase order.
+struct InPhaseOrder<'p>(&'p FaultPlan);
+
+impl<T> Pass<T> for InPhaseOrder<'_> {
+    fn each(&self, round: usize, slots: &mut [T], step: impl Fn(&mut T) + Sync) {
+        for v in self.0.phase_order(round, slots.len()) {
+            step(&mut slots[v]);
+        }
+    }
+}
+
+/// The threaded pass: contiguous chunks of nodes on scoped worker threads.
+struct Chunked(usize);
+
+impl<T: Send> Pass<T> for Chunked {
+    fn each(&self, _round: usize, slots: &mut [T], step: impl Fn(&mut T) + Sync) {
+        let chunk = slots.len().div_ceil(self.0).max(1);
+        let step = &step;
+        std::thread::scope(|scope| {
+            for part in slots.chunks_mut(chunk) {
+                scope.spawn(move || part.iter_mut().for_each(step));
+            }
+        });
+    }
 }
 
 impl<'g> AdvRunner<'g> {
@@ -79,93 +126,107 @@ impl<'g> AdvRunner<'g> {
     /// is harness bookkeeping — not information leaked to the algorithm)
     /// and the node's degree; it is re-invoked when a crashed node recovers
     /// under restart semantics.
-    pub fn run<A, F>(&self, plan: &FaultPlan, mut factory: F) -> Result<RunOutcome, SimError>
+    ///
+    /// Errors with [`SimError::BadSendArity`] if a node's `send` violates
+    /// the one-entry-per-port contract (the lowest such node id); reaching
+    /// `max_rounds` with unhalted nodes is *not* an error (the returned
+    /// outcome reports it via [`RunOutcome::all_halted`]).
+    pub fn run<A, F>(&self, plan: &FaultPlan, factory: F) -> Result<RunOutcome, SimError>
     where
         A: NodeAlgorithm + Send,
         A::Message: Send,
         F: FnMut(usize, usize) -> A,
     {
+        if self.num_threads == 1 {
+            self.run_sequential(plan, factory)
+        } else {
+            self.run_with(plan, &Chunked(self.num_threads), factory)
+        }
+    }
+
+    /// [`run`](Self::run) on the sequential engine, which needs no `Send`.
+    pub(crate) fn run_sequential<A, F>(
+        &self,
+        plan: &FaultPlan,
+        factory: F,
+    ) -> Result<RunOutcome, SimError>
+    where
+        A: NodeAlgorithm,
+        F: FnMut(usize, usize) -> A,
+    {
+        self.run_with(plan, &InPhaseOrder(plan), factory)
+    }
+
+    fn run_with<A, F, P>(
+        &self,
+        plan: &FaultPlan,
+        pass: &P,
+        mut factory: F,
+    ) -> Result<RunOutcome, SimError>
+    where
+        A: NodeAlgorithm,
+        F: FnMut(usize, usize) -> A,
+        P: Pass<Slot<A>>,
+    {
         let g = self.graph;
         let n = g.num_nodes();
         let dynamic = DynamicGraph::new(g, plan);
-        let mut nodes: Vec<Option<A>> = (0..n)
-            .map(|v| {
-                let mut a = factory(v, g.degree(v));
-                a.init(g.degree(v));
-                Some(a)
+        let mut spawn = |v: usize| {
+            let mut a = factory(v, g.degree(v));
+            a.init(g.degree(v));
+            a
+        };
+        let mut slots: Vec<Slot<A>> = (0..n)
+            .map(|v| Slot {
+                node: Some(spawn(v)),
+                halted: None,
+                outbox: None,
+                inbox: Vec::new(),
             })
             .collect();
-        let mut outputs: Vec<Option<PortPath>> = vec![None; n];
-        let mut halt_round: Vec<Option<usize>> = vec![None; n];
         let mut stats = RunStats::default();
-        let chunk = n.div_ceil(self.num_threads).max(1);
 
         for round in 0..self.max_rounds {
             // Adversary events take effect at the round boundary.
             for v in plan.crashes_at(round) {
-                if v < n && outputs[v].is_none() {
-                    nodes[v] = None;
+                if let Some(s) = slots.get_mut(v).filter(|s| s.halted.is_none()) {
+                    s.node = None;
                 }
             }
             if plan.semantics == CrashSemantics::RestartFromInit {
                 for v in plan.recoveries_at(round) {
-                    if v < n && outputs[v].is_none() && nodes[v].is_none() {
-                        let mut a = factory(v, g.degree(v));
-                        a.init(g.degree(v));
-                        nodes[v] = Some(a);
+                    if let Some(s) = slots.get_mut(v) {
+                        if s.halted.is_none() && s.node.is_none() {
+                            s.node = Some(spawn(v));
+                        }
                     }
                 }
             }
-            if outputs.iter().all(Option::is_some) {
+            if slots.iter().all(|s| s.halted.is_some()) {
                 break;
             }
             stats.rounds += 1;
-            let halted: Vec<bool> = outputs.iter().map(Option::is_some).collect();
 
             // Phase 1: active, live nodes produce their outgoing messages.
-            let mut outgoing: Vec<Option<Vec<Option<A::Message>>>> = vec![None; n];
-            if self.num_threads == 1 {
-                for v in plan.phase_order(round, n) {
-                    if halted[v] {
-                        continue;
-                    }
-                    if let Some(node) = nodes[v].as_mut() {
-                        outgoing[v] = Some(node.send(round));
-                    }
+            pass.each(round, &mut slots, |s| {
+                if s.halted.is_some() {
+                    return;
                 }
-            } else {
-                std::thread::scope(|scope| {
-                    let halted = &halted;
-                    for (chunk_idx, (node_chunk, out_chunk)) in nodes
-                        .chunks_mut(chunk)
-                        .zip(outgoing.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        scope.spawn(move || {
-                            let base = chunk_idx * chunk;
-                            for (off, (node, slot)) in
-                                node_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                            {
-                                let v = base + off;
-                                if halted[v] {
-                                    continue;
-                                }
-                                if let Some(node) = node.as_mut() {
-                                    *slot = Some(node.send(round));
-                                }
-                            }
-                        });
-                    }
-                });
-            }
+                if let Some(node) = s.node.as_mut() {
+                    s.outbox = Some(node.send(round));
+                }
+            });
 
             // Phase 2: routing, filtered by the adversary (sequential, in
             // node order, so stats and first-offender errors are
             // deterministic regardless of skew and thread count).
-            let mut incoming: Vec<Vec<Option<A::Message>>> =
-                (0..n).map(|v| vec![None; g.degree(v)]).collect();
-            for (v, slot) in outgoing.iter_mut().enumerate() {
-                let Some(msgs) = slot.take() else { continue };
+            for (v, s) in slots.iter_mut().enumerate() {
+                s.inbox = vec![None; g.degree(v)];
+            }
+            for v in 0..n {
+                let Some(msgs) = slots[v].outbox.take() else {
+                    continue;
+                };
                 if msgs.len() != g.degree(v) {
                     return Err(SimError::BadSendArity {
                         node: v,
@@ -176,7 +237,7 @@ impl<'g> AdvRunner<'g> {
                 for (p, msg) in msgs.into_iter().enumerate() {
                     let Some(msg) = msg else { continue };
                     let (u, q) = g.neighbor(v, p);
-                    if nodes[u].is_none() {
+                    if slots[u].node.is_none() {
                         continue; // receiver crashed: message lost
                     }
                     if !dynamic.edge_up(round, v, p) {
@@ -187,62 +248,27 @@ impl<'g> AdvRunner<'g> {
                     }
                     stats.messages += 1;
                     stats.message_words += A::message_size_words(&msg);
-                    incoming[u][q] = Some(msg);
+                    slots[u].inbox[q] = Some(msg);
                 }
             }
 
             // Phase 3: active, live nodes receive and may halt.
-            if self.num_threads == 1 {
-                for v in plan.phase_order(round, n) {
-                    if halted[v] {
-                        continue;
-                    }
-                    let inbox = std::mem::take(&mut incoming[v]);
-                    if let Some(node) = nodes[v].as_mut() {
-                        if let Some(path) = node.receive(round, inbox) {
-                            outputs[v] = Some(path);
-                            halt_round[v] = Some(round);
-                        }
+            pass.each(round, &mut slots, |s| {
+                if s.halted.is_some() {
+                    return;
+                }
+                if let Some(node) = s.node.as_mut() {
+                    if let Some(path) = node.receive(round, std::mem::take(&mut s.inbox)) {
+                        s.halted = Some((round, path));
                     }
                 }
-            } else {
-                let mut decisions: Vec<Option<PortPath>> = vec![None; n];
-                std::thread::scope(|scope| {
-                    let halted = &halted;
-                    for (chunk_idx, ((node_chunk, in_chunk), dec_chunk)) in nodes
-                        .chunks_mut(chunk)
-                        .zip(incoming.chunks_mut(chunk))
-                        .zip(decisions.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        scope.spawn(move || {
-                            let base = chunk_idx * chunk;
-                            for (off, ((node, inbox), dec)) in node_chunk
-                                .iter_mut()
-                                .zip(in_chunk.iter_mut())
-                                .zip(dec_chunk.iter_mut())
-                                .enumerate()
-                            {
-                                let v = base + off;
-                                if halted[v] {
-                                    continue;
-                                }
-                                if let Some(node) = node.as_mut() {
-                                    *dec = node.receive(round, std::mem::take(inbox));
-                                }
-                            }
-                        });
-                    }
-                });
-                for (v, dec) in decisions.into_iter().enumerate() {
-                    if let Some(path) = dec {
-                        outputs[v] = Some(path);
-                        halt_round[v] = Some(round);
-                    }
-                }
-            }
+            });
         }
 
+        let (halt_round, outputs) = slots
+            .into_iter()
+            .map(|s| s.halted.map_or((None, None), |(r, p)| (Some(r), Some(p))))
+            .unzip();
         Ok(RunOutcome {
             outputs,
             halt_round,
@@ -256,17 +282,19 @@ mod tests {
     use super::*;
     use crate::com::{ComNode, SharedViewArena};
     use crate::fault::CrashEvent;
-    use crate::runner::SyncRunner;
+    use crate::runner::{reference_run, SyncRunner};
     use anet_graph::generators;
     use anet_views::ShardedViewArena;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn com_outcome_sync(g: &anet_graph::Graph, depth: usize) -> RunOutcome {
+    /// `COM(depth)` on the test-only reference loop of the clean model.
+    fn com_outcome_reference(g: &anet_graph::Graph, depth: usize) -> RunOutcome {
         let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
-        SyncRunner::new(g, depth + 1)
-            .run(|_| ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty()))
-            .unwrap()
+        reference_run(g, depth + 1, |_| {
+            ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty())
+        })
+        .unwrap()
     }
 
     fn com_outcome_adv(
@@ -293,7 +321,14 @@ mod tests {
         ];
         for g in &graphs {
             let depth = 3;
-            let sync = com_outcome_sync(g, depth);
+            let sync = com_outcome_reference(g, depth);
+            let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
+            let clean = SyncRunner::new(g, depth + 1)
+                .run(|_| ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty()))
+                .unwrap();
+            assert_eq!(sync.outputs, clean.outputs);
+            assert_eq!(sync.halt_round, clean.halt_round);
+            assert_eq!(sync.stats, clean.stats);
             for threads in [1, 2, 4] {
                 let adv = com_outcome_adv(g, depth, depth + 1, &FaultPlan::none(), threads);
                 assert_eq!(sync.outputs, adv.outputs);
@@ -307,7 +342,7 @@ mod tests {
     fn phase_skew_is_observationally_invisible() {
         let g = generators::torus(3, 4);
         let depth = 3;
-        let sync = com_outcome_sync(&g, depth);
+        let sync = com_outcome_reference(&g, depth);
         for seed in [1u64, 99, 4242] {
             let skew = com_outcome_adv(&g, depth, depth + 1, &FaultPlan::phase_skew(seed), 1);
             assert_eq!(sync.outputs, skew.outputs);

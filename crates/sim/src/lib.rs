@@ -14,7 +14,9 @@
 //!   (initialize with the local degree and the common advice, send one
 //!   message per port, receive one message per port, optionally halt with an
 //!   election output),
-//! * [`SyncRunner`] — the deterministic sequential round engine,
+//! * [`SyncRunner`] — the clean model: the round engine of
+//!   [`adv::AdvRunner`] run sequentially under
+//!   [`FaultPlan::none`](fault::FaultPlan::none),
 //! * [`com`] — the `COM(i)` view-exchange subroutine (Algorithm 1): nodes
 //!   repeatedly exchange their augmented truncated views, so that after `t`
 //!   rounds every node holds `B^t(v)`; this is both a building block of the
@@ -27,17 +29,16 @@
 //!
 //! ## The adversarial execution layer
 //!
-//! The clean engines above assume the paper's synchronous fault-free
-//! model. The adversarial layer relaxes it, deterministically:
+//! The clean model above is the paper's synchronous fault-free one. The
+//! adversarial layer relaxes it, deterministically:
 //!
 //! * [`fault::FaultPlan`] — a seeded, reproducible adversary schedule:
 //!   per-node crash/recover events, per-port message drops and per-edge
 //!   churn with bounded bursts, and per-round phase-order skew,
 //! * [`dynamic::DynamicGraph`] — the per-round up/down edge view a churn
 //!   plan induces over a static graph,
-//! * [`adv::AdvRunner`] — the fault-injecting engine; under
-//!   [`FaultPlan::none`](fault::FaultPlan::none) its transcript is
-//!   bit-identical to [`SyncRunner`]'s,
+//! * [`adv::AdvRunner`] — the one round engine, here with the adversary
+//!   and optional worker threads switched on,
 //! * [`link::ReliableLink`] — a retransmit/ack adapter restoring the
 //!   synchronous abstraction over dropped and churned messages,
 //! * [`restart::Restartable`] — a generation-reset adapter that survives

@@ -1,8 +1,10 @@
-//! The synchronous round engine.
+//! The node-algorithm contract, run outcomes, and the clean-model runner.
 
 use anet_graph::{Graph, NodeId, PortPath};
 
+use crate::adv::AdvRunner;
 use crate::error::SimError;
+use crate::fault::FaultPlan;
 
 /// A node-local deterministic algorithm executed by the simulator.
 ///
@@ -93,22 +95,20 @@ impl RunOutcome {
     }
 }
 
-/// The deterministic sequential executor of the synchronous LOCAL model.
-pub struct SyncRunner<'g> {
-    graph: &'g Graph,
-    max_rounds: usize,
-}
+/// The clean synchronous LOCAL model: the round engine of
+/// [`AdvRunner`] under [`FaultPlan::none`], sequential, in node order.
+pub struct SyncRunner<'g>(AdvRunner<'g>);
 
 impl<'g> SyncRunner<'g> {
     /// Creates a runner over `graph` that aborts after `max_rounds` rounds
     /// (a safety net against non-terminating node algorithms).
     pub fn new(graph: &'g Graph, max_rounds: usize) -> Self {
-        SyncRunner { graph, max_rounds }
+        SyncRunner(AdvRunner::new(graph, max_rounds))
     }
 
     /// The graph being simulated.
     pub fn graph(&self) -> &Graph {
-        self.graph
+        self.0.graph()
     }
 
     /// Like [`run`](Self::run), but additionally hands the factory a dense
@@ -117,17 +117,12 @@ impl<'g> SyncRunner<'g> {
     /// external counter. The slot index is harness bookkeeping for
     /// depositing outputs — it is *not* information available to the node
     /// algorithm, which still only sees its degree.
-    pub fn run_indexed<A, F>(&self, mut factory: F) -> Result<RunOutcome, SimError>
+    pub fn run_indexed<A, F>(&self, factory: F) -> Result<RunOutcome, SimError>
     where
         A: NodeAlgorithm,
         F: FnMut(usize, usize) -> A,
     {
-        let mut slot = 0usize;
-        self.run(|degree| {
-            let node = factory(slot, degree);
-            slot += 1;
-            node
-        })
+        self.0.run_sequential(&FaultPlan::none(), factory)
     }
 
     /// Runs one node algorithm instance per node, created by `factory`
@@ -143,78 +138,94 @@ impl<'g> SyncRunner<'g> {
         A: NodeAlgorithm,
         F: FnMut(usize) -> A,
     {
-        let g = self.graph;
-        let n = g.num_nodes();
-        let mut nodes: Vec<A> = (0..n)
-            .map(|v| {
-                let mut a = factory(g.degree(v));
-                a.init(g.degree(v));
-                a
-            })
-            .collect();
-        let mut outputs: Vec<Option<PortPath>> = vec![None; n];
-        let mut halt_round: Vec<Option<usize>> = vec![None; n];
-        let mut stats = RunStats::default();
+        self.run_indexed(|_slot, degree| factory(degree))
+    }
+}
 
-        for round in 0..self.max_rounds {
-            if outputs.iter().all(Option::is_some) {
-                break;
+/// The original sequential round loop of the clean model, kept as the
+/// reference the engine's fault-free transcript is compared against.
+#[cfg(test)]
+pub(crate) fn reference_run<A, F>(
+    g: &Graph,
+    max_rounds: usize,
+    mut factory: F,
+) -> Result<RunOutcome, SimError>
+where
+    A: NodeAlgorithm,
+    F: FnMut(usize) -> A,
+{
+    let n = g.num_nodes();
+    let mut nodes: Vec<A> = (0..n)
+        .map(|v| {
+            let mut a = factory(g.degree(v));
+            a.init(g.degree(v));
+            a
+        })
+        .collect();
+    let mut outputs: Vec<Option<PortPath>> = vec![None; n];
+    let mut halt_round: Vec<Option<usize>> = vec![None; n];
+    let mut stats = RunStats::default();
+
+    for round in 0..max_rounds {
+        if outputs.iter().all(Option::is_some) {
+            break;
+        }
+        stats.rounds += 1;
+        // Phase 1: all active nodes produce their outgoing messages.
+        let mut outgoing: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(n);
+        for (v, node) in nodes.iter_mut().enumerate() {
+            if outputs[v].is_some() {
+                outgoing.push(vec![None; g.degree(v)]);
+                continue;
             }
-            stats.rounds += 1;
-            // Phase 1: all active nodes produce their outgoing messages.
-            let mut outgoing: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(n);
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if outputs[v].is_some() {
-                    outgoing.push(vec![None; g.degree(v)]);
-                    continue;
-                }
-                let msgs = node.send(round);
-                if msgs.len() != g.degree(v) {
-                    return Err(SimError::BadSendArity {
-                        node: v,
-                        got: msgs.len(),
-                        want: g.degree(v),
-                    });
-                }
-                outgoing.push(msgs);
+            let msgs = node.send(round);
+            if msgs.len() != g.degree(v) {
+                return Err(SimError::BadSendArity {
+                    node: v,
+                    got: msgs.len(),
+                    want: g.degree(v),
+                });
             }
-            // Phase 2: route messages along edges.
-            let mut incoming: Vec<Vec<Option<A::Message>>> =
-                (0..n).map(|v| vec![None; g.degree(v)]).collect();
-            for (v, out) in outgoing.iter_mut().enumerate() {
-                for (p, u, q) in g.ports(v) {
-                    if let Some(msg) = out[p].take() {
-                        stats.messages += 1;
-                        stats.message_words += A::message_size_words(&msg);
-                        incoming[u][q] = Some(msg);
-                    }
-                }
-            }
-            // Phase 3: all active nodes receive and may halt.
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if outputs[v].is_some() {
-                    continue;
-                }
-                let inbox = std::mem::take(&mut incoming[v]);
-                if let Some(path) = node.receive(round, inbox) {
-                    outputs[v] = Some(path);
-                    halt_round[v] = Some(round);
+            outgoing.push(msgs);
+        }
+        // Phase 2: route messages along edges.
+        let mut incoming: Vec<Vec<Option<A::Message>>> =
+            (0..n).map(|v| vec![None; g.degree(v)]).collect();
+        for (v, out) in outgoing.iter_mut().enumerate() {
+            for (p, u, q) in g.ports(v) {
+                if let Some(msg) = out[p].take() {
+                    stats.messages += 1;
+                    stats.message_words += A::message_size_words(&msg);
+                    incoming[u][q] = Some(msg);
                 }
             }
         }
-
-        Ok(RunOutcome {
-            outputs,
-            halt_round,
-            stats,
-        })
+        // Phase 3: all active nodes receive and may halt.
+        for (v, node) in nodes.iter_mut().enumerate() {
+            if outputs[v].is_some() {
+                continue;
+            }
+            let inbox = std::mem::take(&mut incoming[v]);
+            if let Some(path) = node.receive(round, inbox) {
+                outputs[v] = Some(path);
+                halt_round[v] = Some(round);
+            }
+        }
     }
+
+    Ok(RunOutcome {
+        outputs,
+        halt_round,
+        stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use anet_graph::generators;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A toy algorithm: flood a counter for `target` rounds, then output the
     /// empty path (electing oneself) — used to exercise the engine mechanics.
@@ -243,6 +254,14 @@ mod tests {
                 None
             }
         }
+    }
+
+    /// The engine and the reference loop agree on outputs, halting rounds
+    /// and message statistics.
+    fn assert_same_transcript(engine: &RunOutcome, reference: &RunOutcome) {
+        assert_eq!(engine.outputs, reference.outputs);
+        assert_eq!(engine.halt_round, reference.halt_round);
+        assert_eq!(engine.stats, reference.stats);
     }
 
     #[test]
@@ -302,6 +321,8 @@ mod tests {
         assert!(!outcome.all_halted());
         assert_eq!(outcome.stats.rounds, 7);
         assert_eq!(outcome.election_time(), None);
+        let reference = reference_run(&g, 7, |_| Never2 { degree: 0 }).unwrap();
+        assert_same_transcript(&outcome, &reference);
     }
 
     #[test]
@@ -318,15 +339,54 @@ mod tests {
             }
         }
         let g = generators::ring(4);
-        let err = SyncRunner::new(&g, 5).run(|_| Short).unwrap_err();
-        assert_eq!(
-            err,
-            crate::SimError::BadSendArity {
-                node: 0,
-                got: 0,
-                want: 2
+        let want = crate::SimError::BadSendArity {
+            node: 0,
+            got: 0,
+            want: 2,
+        };
+        assert_eq!(SyncRunner::new(&g, 5).run(|_| Short).unwrap_err(), want);
+        for threads in [1, 2, 4] {
+            let err = AdvRunner::with_threads(&g, 5, threads)
+                .run(&FaultPlan::none(), |_, _| Short)
+                .unwrap_err();
+            assert_eq!(err, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn node_algorithms_need_not_be_send() {
+        // A node holding an `Rc` (here: the deposit vector its output goes
+        // to) runs on the clean model, which never moves nodes across
+        // threads.
+        struct Deposit {
+            degree: usize,
+            slot: usize,
+            out: Rc<RefCell<Vec<usize>>>,
+        }
+        impl NodeAlgorithm for Deposit {
+            type Message = ();
+            fn init(&mut self, d: usize) {
+                self.degree = d;
             }
-        );
+            fn send(&mut self, _r: usize) -> Vec<Option<()>> {
+                vec![Some(()); self.degree]
+            }
+            fn receive(&mut self, round: usize, _m: Vec<Option<()>>) -> Option<PortPath> {
+                self.out.borrow_mut()[self.slot] = round;
+                Some(PortPath::empty())
+            }
+        }
+        let g = generators::lollipop(4, 3);
+        let out = Rc::new(RefCell::new(vec![usize::MAX; g.num_nodes()]));
+        let outcome = SyncRunner::new(&g, 3)
+            .run_indexed(|slot, _deg| Deposit {
+                degree: 0,
+                slot,
+                out: Rc::clone(&out),
+            })
+            .unwrap();
+        assert_eq!(outcome.election_time(), Some(1));
+        assert_eq!(*out.borrow(), vec![0; g.num_nodes()]);
     }
 
     #[test]
@@ -363,5 +423,7 @@ mod tests {
         // Leaves halt in round 0, the center later.
         assert_eq!(outcome.halt_round[1], Some(0));
         assert!(outcome.halt_round[0].unwrap() > 0);
+        let reference = reference_run(&g, 50, |_| HaltIfLeaf { degree: 0 }).unwrap();
+        assert_same_transcript(&outcome, &reference);
     }
 }
