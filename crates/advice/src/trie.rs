@@ -5,7 +5,9 @@
 //! of the node reading the advice) and whose leaves correspond to the objects
 //! being discriminated. The left child corresponds to the answer "no" (port
 //! 0) and the right child to "yes" (port 1). A trie with `k` leaves has
-//! exactly `2k - 1` nodes.
+//! exactly `2k - 1` nodes. Every internal node caches its leaf count, so
+//! [`Trie::num_leaves`] is O(1): `LocalLabel` adds the left leaf count on
+//! every right turn, and `RetrieveLabel` sums leaf counts over whole lists.
 
 use crate::bitstring::BitString;
 use crate::codec::{concat, decode, DecodeError};
@@ -29,6 +31,8 @@ pub enum Trie {
         left: Box<Trie>,
         /// Subtrie for the answer "yes".
         right: Box<Trie>,
+        /// Number of leaves of this subtrie, set by [`Trie::internal`].
+        leaves: usize,
     },
 }
 
@@ -38,10 +42,11 @@ impl Trie {
         Trie::Leaf
     }
 
-    /// Creates an internal node.
+    /// Creates an internal node, caching its leaf count.
     pub fn internal(query: Query, left: Trie, right: Trie) -> Self {
         Trie::Internal {
             query,
+            leaves: left.num_leaves() + right.num_leaves(),
             left: Box::new(left),
             right: Box::new(right),
         }
@@ -76,11 +81,11 @@ impl Trie {
         }
     }
 
-    /// Number of leaves.
+    /// Number of leaves, in O(1): internal nodes cache it.
     pub fn num_leaves(&self) -> usize {
         match self {
             Trie::Leaf => 1,
-            Trie::Internal { left, right, .. } => left.num_leaves() + right.num_leaves(),
+            Trie::Internal { leaves, .. } => *leaves,
         }
     }
 
@@ -117,7 +122,9 @@ impl Trie {
     fn encode_into(&self, parts: &mut Vec<BitString>) {
         match self {
             Trie::Leaf => parts.push(BitString::from_uint(0)),
-            Trie::Internal { query, left, right } => {
+            Trie::Internal {
+                query, left, right, ..
+            } => {
                 parts.push(BitString::from_uint(1));
                 parts.push(BitString::from_uint(query.0));
                 parts.push(BitString::from_uint(query.1));
@@ -228,6 +235,59 @@ mod tests {
         // O(n log n) sanity: 100 leaves with small queries fits well under
         // 100 * 64 bits.
         assert!(enc.len() < 6400);
+    }
+
+    /// Leaf count by full recursion, ignoring the cached counts.
+    fn recount(t: &Trie) -> usize {
+        match t {
+            Trie::Leaf => 1,
+            Trie::Internal { left, right, .. } => recount(left) + recount(right),
+        }
+    }
+
+    /// Asserts the cached count equals the recursive one at every node.
+    fn assert_cached_counts(t: &Trie) {
+        assert_eq!(t.num_leaves(), recount(t));
+        if let (Some(l), Some(r)) = (t.left(), t.right()) {
+            assert_cached_counts(l);
+            assert_cached_counts(r);
+        }
+    }
+
+    /// A pseudo-random trie with `leaves` leaves, split points drawn from a
+    /// SplitMix64 stream.
+    fn random_trie(leaves: usize, state: &mut u64) -> Trie {
+        if leaves == 1 {
+            return Trie::leaf();
+        }
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let left = 1 + (z % (leaves as u64 - 1)) as usize;
+        let query = (z % 7, z % 1000);
+        Trie::internal(
+            query,
+            random_trie(left, state),
+            random_trie(leaves - left, state),
+        )
+    }
+
+    #[test]
+    fn cached_leaf_counts_survive_decoding() {
+        let mut skewed = Trie::leaf();
+        for i in 0..99u64 {
+            skewed = Trie::internal((1, i), skewed, Trie::leaf());
+        }
+        let mut state = 7u64;
+        let random = random_trie(257, &mut state);
+        for t in [skewed, random] {
+            let decoded = Trie::decode_bits(&t.encode()).unwrap();
+            assert_cached_counts(&decoded);
+            assert_eq!(decoded.size(), 2 * decoded.num_leaves() - 1);
+            assert_eq!(decoded, t);
+        }
     }
 
     #[test]

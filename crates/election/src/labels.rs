@@ -13,7 +13,7 @@
 //! paper-exact `bin(B^1)` code (see [`crate::encoding`]) for views of depth
 //! 1 — the depth-1 trie queries literally ask about bits of that code.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use anet_advice::{codec, BitString, Trie};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
@@ -35,7 +35,9 @@ pub type NestedList = Vec<(u64, Vec<(u64, Trie)>)>;
 pub fn local_label(b: &AugmentedView, x: &[u64], t: &Trie) -> u64 {
     match t {
         Trie::Leaf => 1,
-        Trie::Internal { query, left, right } => {
+        Trie::Internal {
+            query, left, right, ..
+        } => {
             let (qx, qy) = *query;
             let go_left = if x.is_empty() {
                 let bits = bin_b1(b);
@@ -205,9 +207,12 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 // (the sharding hides the interior locking), so the label engine threads a
 // plain shared reference. `retrieve_label_arena` additionally memoizes per
 // distinct view and replaces the `Θ(label)` summation loop of the
-// pseudocode by an `O(|L|)` closed form, which is what makes labeling all n
-// nodes of a million-node graph feasible. The tree-based functions remain
-// the oracle: on interned copies of the same views both engines produce
+// pseudocode by a lookup in a per-depth index of `L` (sorted labels and
+// prefix sums of their leaf counts, see [`LabelMemo`]): one binary search
+// plus at most one `LocalLabel` walk of `O(height)`, since tries cache
+// their leaf counts. That is what makes labeling all n nodes of a
+// 100k-node graph take seconds. The tree-based functions remain the
+// oracle: on interned copies of the same views both engines produce
 // identical labels and identical tries (asserted by unit and property
 // tests).
 // ---------------------------------------------------------------------------
@@ -223,10 +228,15 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 ///   (the hot pure operation of the depth-1 trie machinery, in the same
 ///   spirit as the arena's internal `truncate_one`/`cmp_views` memo
 ///   caches). A view's code is immutable, so entries never invalidate.
+/// * `depths` — one index of `L(d)` per depth `d` (`DepthIndex`), built
+///   the first time a depth-`d` view is labeled. It stays valid by the same
+///   rule as `labels`: `ComputeAdvice` finalizes `L(d)` before it labels
+///   any depth-`d` view, and only ever appends to `E2`.
 #[derive(Debug, Default)]
 pub struct LabelMemo {
     pub(crate) labels: HashMap<ViewId, u64>,
     pub(crate) bins: HashMap<ViewId, BitString>,
+    depths: HashMap<usize, DepthIndex>,
 }
 
 impl LabelMemo {
@@ -234,6 +244,71 @@ impl LabelMemo {
     pub fn new() -> Self {
         LabelMemo::default()
     }
+}
+
+/// The index of one list `L(d)` that turns `RetrieveLabel`'s summation into
+/// a binary search.
+///
+/// `RetrieveLabel` sums, over `i` in `1..=own`, `num_leaves(T_i)` for the
+/// first entry labeled `i < own` in `L`, the `LocalLabel` of `T_own` for
+/// `i == own`, and 1 for every absent `i`. With only the first entry per
+/// label kept, and labels outside `1..` dropped (the sum never reaches
+/// them), that is `own + prefix[k]` plus `LocalLabel(T_own) − 1` when
+/// `own` is present, where `k` counts the kept labels below `own`.
+#[derive(Debug, Default)]
+struct DepthIndex {
+    /// `(label, position in L(d))` of the first entry per label `>= 1`,
+    /// ascending by label.
+    firsts: Vec<(u64, usize)>,
+    /// `prefix[k]` = the sum of `num_leaves − 1` over the tries of
+    /// `firsts[..k]`; one longer than `firsts`.
+    prefix: Vec<u64>,
+}
+
+impl DepthIndex {
+    /// Indexes `L(d)` of `e2`.
+    fn build(e2: &NestedList, d: usize) -> Self {
+        let list = depth_list(e2, d);
+        let mut firsts: Vec<(u64, usize)> = list
+            .iter()
+            .enumerate()
+            .filter(|(_, (j, _))| *j >= 1)
+            .map(|(pos, (j, _))| (*j, pos))
+            .collect();
+        // Sorting by (label, position) puts each label's first entry ahead
+        // of its duplicates, which the dedup then drops.
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|&mut (j, _)| j);
+        let mut prefix = Vec::with_capacity(firsts.len() + 1);
+        let mut acc = 0u64;
+        prefix.push(acc);
+        for &(_, pos) in &firsts {
+            acc += list[pos].1.num_leaves() as u64 - 1;
+            prefix.push(acc);
+        }
+        DepthIndex { firsts, prefix }
+    }
+
+    /// `RetrieveLabel`'s sum for a view whose depth-`(d−1)` truncation has
+    /// label `own`, without the `LocalLabel` term, and the position in
+    /// `L(d)` of `T_own`, if `own` has a trie.
+    fn lookup(&self, own: u64) -> (u64, Option<usize>) {
+        let k = self.firsts.partition_point(|&(j, _)| j < own);
+        let own_pos = match self.firsts.get(k) {
+            Some(&(j, pos)) if j == own => Some(pos),
+            _ => None,
+        };
+        (own + self.prefix[k], own_pos)
+    }
+}
+
+/// `L(d)`: the list of the first depth-`d` entry of `E2` (the one the tree
+/// oracle's `find` reads), empty when there is none.
+fn depth_list(e2: &NestedList, d: usize) -> &[(u64, Trie)] {
+    e2.iter()
+        .find(|(depth, _)| *depth == d as u64)
+        .map(|(_, list)| list.as_slice())
+        .unwrap_or(&[])
 }
 
 /// `LocalLabel(B, X, T)` — Algorithm 2 — against an arena view. Identical
@@ -259,7 +334,9 @@ fn local_label_walk(bits: Option<&BitString>, x: &[u64], t: &Trie) -> u64 {
     loop {
         match t {
             Trie::Leaf => return label,
-            Trie::Internal { query, left, right } => {
+            Trie::Internal {
+                query, left, right, ..
+            } => {
                 let (qx, qy) = *query;
                 let go_left = match bits {
                     Some(bits) => {
@@ -294,10 +371,12 @@ fn local_label_walk(bits: Option<&BitString>, x: &[u64], t: &Trie) -> u64 {
 ///
 /// Produces exactly the label of [`retrieve_label`] on the materialized
 /// tree. The recursion labels each distinct subview once (`memo`), and the
-/// pseudocode's `for i in 1..=label` accumulation is evaluated in closed
-/// form: every label `i` absent from `L` contributes 1, every present
-/// `j < label` contributes `num_leaves(T_j)`, and `j == label` contributes
-/// the `LocalLabel` query — `O(|L|)` instead of `Θ(label)` per view.
+/// pseudocode's `for i in 1..=label` accumulation is read from the memo's
+/// per-depth index of `L`: every label `i` absent from `L` contributes 1,
+/// every present `j < label` contributes `num_leaves(T_j)` (prefix sums),
+/// and `j == label` contributes the `LocalLabel` query — `O(log |L|)` plus
+/// one `O(height)` trie walk instead of `Θ(label)` per view. The memo must
+/// stay with one `(E1, E2)`; see [`LabelMemo`] for when `E2` may grow.
 pub fn retrieve_label_arena(
     arena: &ShardedViewArena,
     id: ViewId,
@@ -333,32 +412,19 @@ pub fn retrieve_label_arena(
         // Label of our own depth-(d-1) truncation.
         let b_prime = arena.truncate_one(id);
         let own = retrieve_label_arena(arena, b_prime, e1, e2, memo);
-        // L = the list attached to depth d in E2 (possibly absent => empty).
-        let l = e2
-            .iter()
-            .find(|(depth, _)| *depth == d as u64)
-            .map(|(_, list)| list.as_slice())
-            .unwrap_or(&[]);
-        let mut sum = own; // the `1` contributed by each i in 1..=own
-        let mut own_trie: Option<&Trie> = None;
-        // Like the tree oracle's `find`, only the *first* entry per label
-        // counts — decoded advice is not validated for distinct labels, and
-        // the two engines must agree even on malformed bit strings.
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (j, t) in l {
-            if *j > own || !seen.insert(*j) {
-                continue;
-            }
-            if *j < own {
-                sum += t.num_leaves() as u64 - 1;
-            } else {
-                own_trie = Some(t);
-            }
+        // Like the tree oracle's `find`, only the *first* entry of L per
+        // label counts — decoded advice is not validated for distinct
+        // labels, and the two engines must agree even on malformed bit
+        // strings.
+        let index = memo
+            .depths
+            .entry(d)
+            .or_insert_with(|| DepthIndex::build(e2, d));
+        let (sum, own_pos) = index.lookup(own);
+        match own_pos.and_then(|pos| depth_list(e2, d).get(pos)) {
+            Some((_, t)) => sum + local_label_arena(arena, id, &x, t) - 1,
+            None => sum,
         }
-        if let Some(t) = own_trie {
-            sum += local_label_arena(arena, id, &x, t) - 1;
-        }
-        sum
     };
     memo.labels.insert(id, label);
     label
@@ -690,6 +756,34 @@ mod tests {
             dup_label,
             Trie::internal((0, 1), Trie::leaf(), Trie::leaf()),
         ));
+
+        let views = AugmentedView::compute_all(&g, advice.phi);
+        let arena = ShardedViewArena::new();
+        let levels = arena.compute_levels(&g, advice.phi);
+        let mut memo = LabelMemo::new();
+        for v in g.nodes() {
+            assert_eq!(
+                retrieve_label_arena(&arena, levels[advice.phi][v], &advice.e1, &e2, &mut memo),
+                retrieve_label(&views[v], &advice.e1, &e2),
+                "node {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_a_label_zero_e2_entry() {
+        // RetrieveLabel sums over labels 1..=own, so a malformed L(i) entry
+        // labeled 0 never counts: adding its leaves would give node 0 of
+        // caterpillar(4) label 2 instead of the oracle's 1.
+        let g = generators::caterpillar(4);
+        let advice = crate::advice_build::compute_advice(&g).unwrap();
+        let mut e2 = advice.e2.clone();
+        let list = e2
+            .iter_mut()
+            .find(|(_, l)| !l.is_empty())
+            .map(|(_, l)| l)
+            .expect("caterpillar(4) has a non-trivial E2 entry");
+        list.push((0, Trie::internal((0, 1), Trie::leaf(), Trie::leaf())));
 
         let views = AugmentedView::compute_all(&g, advice.phi);
         let arena = ShardedViewArena::new();

@@ -6,8 +6,11 @@
 
 use proptest::prelude::*;
 
-use anonymous_election::advice::{codec, BitString};
+use anonymous_election::advice::{codec, BitString, Trie};
 use anonymous_election::election::advice_build::compute_advice_reference;
+use anonymous_election::election::labels::{
+    retrieve_label, retrieve_label_arena, LabelMemo, NestedList,
+};
 use anonymous_election::election::{
     compute_advice, elect_all, election_milestone, generic_elect_all, remark_elect_all,
     scheme_suite, AdviceScheme, ExecutionModel, Generic, Instance, Milestone, MilestoneScheme,
@@ -26,6 +29,66 @@ use anonymous_election::views::{
 /// seed).
 fn graph_params() -> impl Strategy<Value = (usize, f64, u64)> {
     (4usize..24, 0.05f64..0.5, any::<u64>())
+}
+
+/// One SplitMix64 step: advances `state` and returns the next output.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A uniform position in `0..=len`, for seeded shuffles and insertions.
+fn below(state: &mut u64, len: usize) -> usize {
+    (splitmix(state) % (len as u64 + 1)) as usize
+}
+
+/// Malformed copies of a decoded `E2` that `decode_e2` would accept: each
+/// `L(i)` shuffled; entries duplicated under a different trie; labels 0 and
+/// above `n` inserted (creating the entry for depths `2..=max_depth` when
+/// absent); one depth dropped.
+fn malformed_e2_variants(
+    e2: &NestedList,
+    n: usize,
+    max_depth: usize,
+    seed: u64,
+) -> Vec<NestedList> {
+    let mut state = seed;
+    let mut shuffled = e2.clone();
+    for (_, list) in &mut shuffled {
+        for i in (1..list.len()).rev() {
+            list.swap(i, below(&mut state, i));
+        }
+    }
+    let mut duplicated = e2.clone();
+    for (_, list) in &mut duplicated {
+        for (j, t) in list.clone() {
+            let other = Trie::internal((0, j), t, Trie::leaf());
+            let at = below(&mut state, list.len());
+            list.insert(at, (j, other));
+        }
+    }
+    let mut out_of_range = e2.clone();
+    for d in 2..=max_depth as u64 {
+        if !out_of_range.iter().any(|(depth, _)| *depth == d) {
+            out_of_range.push((d, Vec::new()));
+        }
+    }
+    for (_, list) in &mut out_of_range {
+        let t = Trie::internal((0, 1), Trie::leaf(), Trie::leaf());
+        let at = below(&mut state, list.len());
+        list.insert(at, (0, t.clone()));
+        let at = below(&mut state, list.len());
+        list.insert(at, (n as u64 + 1 + splitmix(&mut state) % 4, t));
+    }
+    let mut dropped = e2.clone();
+    if !dropped.is_empty() {
+        let at = below(&mut state, dropped.len() - 1);
+        dropped.remove(at);
+    }
+    vec![shuffled, duplicated, out_of_range, dropped]
 }
 
 proptest! {
@@ -562,6 +625,38 @@ proptest! {
                         prop_assert_eq!(b.time, a.time);
                         prop_assert_eq!(b.advice_bits(), a.advice_bits());
                         prop_assert_eq!(b.phi, a.phi);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arena_labels_match_tree_oracle_on_malformed_e2((n, p, seed) in graph_params()) {
+        // Decoded advice is not validated beyond its shape, so both label
+        // engines must agree on any E2 a bit string can decode to — at
+        // every depth up to φ + 1, where the perturbed lists are consulted.
+        let g = generators::random_connected(n, p, seed);
+        if let Some(phi) = election_index(&g) {
+            prop_assume!(phi <= 4);
+            let advice = compute_advice(&g).unwrap();
+            let depth = phi + 1;
+            let arena = ShardedViewArena::new();
+            let levels = arena.compute_levels(&g, depth);
+            let views: Vec<Vec<AugmentedView>> =
+                (0..=depth).map(|d| AugmentedView::compute_all(&g, d)).collect();
+            for e2 in malformed_e2_variants(&advice.e2, n, depth, seed) {
+                let mut memo = LabelMemo::new();
+                for d in 1..=depth {
+                    for v in g.nodes() {
+                        let arena_label =
+                            retrieve_label_arena(&arena, levels[d][v], &advice.e1, &e2, &mut memo);
+                        let oracle_label = retrieve_label(&views[d][v], &advice.e1, &e2);
+                        prop_assert!(
+                            arena_label == oracle_label,
+                            "depth {} node {}: arena {} != oracle {}",
+                            d, v, arena_label, oracle_label
+                        );
                     }
                 }
             }
