@@ -4,7 +4,7 @@
 //! trajectory `BENCH_sweep.json` (repository root).
 //!
 //! This is the workload the session API exists for: the φ/refinement
-//! analysis and the BFS sweep are computed up front per graph (reported as
+//! analysis and the eccentricities are computed up front per graph (reported as
 //! `analysis_ms`), the view arena and `ComputeAdvice` are built lazily by
 //! the first scheme that needs them (so they land in `min_time`'s
 //! `wall_ms`), and all seven schemes — [`MinTime`](anet_election::MinTime),
@@ -12,10 +12,11 @@
 //! [`Remark`](anet_election::Remark) — reuse every cached piece, so the
 //! whole curve costs little more than its most expensive point. Instances
 //! are processed
-//! in parallel with `std::thread::scope` workers. Re-emit with:
+//! in parallel with `std::thread::scope` workers. Re-emit with (without
+//! `--max-n` the 1M-node tier runs too, and the artifact leaves it out):
 //!
 //! ```text
-//! cargo run --release -p anet-bench --bin report -- sweep --json BENCH_sweep.json [--threads 4]
+//! cargo run --release -p anet-bench --bin report -- sweep --max-n 100000 --json BENCH_sweep.json --threads 4
 //! ```
 //!
 //! The JSON is written by hand (the workspace is offline; no serde), with

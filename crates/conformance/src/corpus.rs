@@ -331,6 +331,25 @@ mod tests {
     }
 
     #[test]
+    fn corpus_eccentricities_match_the_per_node_bfs_oracle() {
+        // Every eccentricity the schemes read comes from the multi-source
+        // kernel; one BFS per node is its oracle on the whole default corpus.
+        let corpus = build_corpus(&CorpusSpec::default());
+        for inst in &corpus {
+            let g = &inst.graph;
+            let ecc = anet_graph::algo::eccentricities(g);
+            for v in g.nodes() {
+                assert_eq!(
+                    ecc[v],
+                    anet_graph::algo::eccentricity(g, v),
+                    "{}: node {v}",
+                    inst.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn default_spec_covers_every_generator_class() {
         let corpus = build_corpus(&CorpusSpec::default());
         assert!(corpus.len() >= 250, "got {}", corpus.len());

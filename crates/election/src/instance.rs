@@ -65,7 +65,8 @@ pub struct ComputeCounts {
     /// that added at least one row counts once; the table itself is never
     /// rebuilt).
     pub class_deepenings: usize,
-    /// All-pairs BFS sweeps (eccentricities; the diameter is their max).
+    /// Multi-source BFS passes over all nodes (eccentricities; the diameter
+    /// is their max).
     pub eccentricities: usize,
     /// Arena view-level computations (`ShardedViewArena::compute_levels`).
     pub levels: usize,
@@ -245,14 +246,12 @@ impl Instance {
         })
     }
 
-    /// Per-node eccentricities (one BFS per node, cached).
+    /// Per-node eccentricities (one multi-source BFS pass,
+    /// [`algo::eccentricities`], cached).
     pub fn eccentricities(&self) -> &[usize] {
         self.eccentricities.get_or_init(|| {
             self.bump(|c| c.eccentricities += 1);
-            self.graph
-                .nodes()
-                .map(|v| algo::eccentricity(&self.graph, v))
-                .collect()
+            algo::eccentricities(&self.graph)
         })
     }
 
@@ -412,7 +411,7 @@ mod tests {
         assert_eq!(advice1, advice2);
         let counts = inst.compute_counts();
         assert_eq!(counts.analysis, 1, "one refinement analysis");
-        assert_eq!(counts.eccentricities, 1, "one BFS sweep");
+        assert_eq!(counts.eccentricities, 1, "one eccentricity pass");
         assert_eq!(counts.levels, 1, "one arena level computation");
         assert_eq!(counts.advice, 1, "one ComputeAdvice run");
         assert_eq!(

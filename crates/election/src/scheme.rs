@@ -9,7 +9,7 @@
 //! ([`AdviceScheme::time_bound`], [`AdviceScheme::advice_bound`]); every
 //! run returns the same unified [`Outcome`]. All expensive graph analysis
 //! flows through the instance's caches, so running the full suite of
-//! schemes on one graph pays for the refinement/φ analysis, the BFS sweep,
+//! schemes on one graph pays for the refinement/φ analysis, the eccentricities,
 //! the view arena and the `ComputeAdvice` construction exactly once.
 //!
 //! | scheme                    | advice size          | time              |
@@ -429,7 +429,7 @@ mod tests {
             }
             let counts = inst.compute_counts();
             assert_eq!(counts.analysis, 1, "one refinement/φ analysis");
-            assert_eq!(counts.eccentricities, 1, "one BFS sweep");
+            assert_eq!(counts.eccentricities, 1, "one eccentricity pass");
             assert_eq!(counts.levels, 1, "one arena level computation");
             assert_eq!(counts.advice, 1, "one ComputeAdvice run");
             assert!(

@@ -4,6 +4,11 @@
 //! advice-constructing oracle (which knows the whole graph) and the experiment
 //! harness use: BFS, distances, diameter, shortest paths, and the canonical
 //! BFS tree of Section 3 of the paper.
+//!
+//! All-node eccentricities (and with them `diameter` and `radius`) come from
+//! one bit-parallel multi-source BFS, [`eccentricities`], which runs 256
+//! sources per pass over a shared frontier. [`eccentricity`] runs one BFS
+//! from one node and is the kernel's test oracle.
 
 use std::collections::VecDeque;
 
@@ -77,16 +82,147 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> usize {
     bfs_distances(g, v).into_iter().max().unwrap_or(0)
 }
 
-/// Diameter of the graph: maximum eccentricity over all nodes.
+/// Sources per multi-source BFS batch: one bit per source in a [`Lanes`] word.
+const LANES: usize = 256;
+
+/// One node's lane word in a batch: bit `i` stands for the batch's `i`-th
+/// source.
+type Lanes = [u64; LANES / 64];
+
+/// The all-zero lane word.
+const NO_LANES: Lanes = [0; LANES / 64];
+
+/// Whether any lane of `a` is set (branch-free over the words).
+fn any_lane(a: &Lanes) -> bool {
+    a.iter().fold(0, |acc, &w| acc | w) != 0
+}
+
+/// The eccentricity of every node: `ecc[v]` equals [`eccentricity`]`(g, v)`.
 ///
-/// This is `O(n · m)`; fine for the graph sizes exercised here.
+/// A bit-parallel multi-source BFS (Then et al., "The More the Merrier:
+/// Efficient Multi-Source Graph Traversal", VLDB 2014). Each node holds a
+/// 256-bit lane word, one bit per source of the current batch, so one pass
+/// over the shared frontier advances 256 BFS at once. Sources are taken in
+/// BFS order from node 0: the sources of a batch lie close together, their
+/// frontiers overlap, and a node is expanded once per level for the whole
+/// batch. Only nodes with a non-zero frontier word are expanded.
+///
+/// Pendant rule: when `n >= 3`, a degree-1 node `v` is never a source, and
+/// `ecc(v) = ecc(u) + 1` for its neighbour `u`. Every node other than `v`
+/// lies at `u`'s distance plus one from `v`, and since `n >= 3` some node
+/// other than `v` realises `ecc(u)`.
+///
+/// Pure cycles are the one known loss against one BFS per node: their
+/// frontiers never overlap, so the lane words buy nothing.
+pub fn eccentricities(g: &Graph) -> Vec<usize> {
+    eccentricities_counted(g).0
+}
+
+/// [`eccentricities`] plus the number of frontier darts it scanned, the
+/// kernel's deterministic work count (one BFS per node scans `n · 2m`).
+fn eccentricities_counted(g: &Graph) -> (Vec<usize>, usize) {
+    let n = g.num_nodes();
+    let mut ecc = vec![0; n];
+    if n == 0 {
+        return (ecc, 0);
+    }
+    let pendant = |v: NodeId| n >= 3 && g.degree(v) == 1;
+    let sources: Vec<NodeId> = bfs_order(g, 0)
+        .into_iter()
+        .filter(|&v| !pendant(v))
+        .collect();
+
+    let mut seen = vec![NO_LANES; n];
+    // `frontier[v]` is only read while `v` is active; `next[u]` is all-zero
+    // outside a level.
+    let mut frontier = vec![NO_LANES; n];
+    let mut next = vec![NO_LANES; n];
+    let mut active: Vec<NodeId> = Vec::new();
+    let mut queued: Vec<NodeId> = Vec::new();
+    let mut visits = 0;
+    for batch in sources.chunks(LANES) {
+        seen.fill(NO_LANES);
+        active.clear();
+        for (lane, &s) in batch.iter().enumerate() {
+            seen[s][lane / 64] |= 1 << (lane % 64);
+            frontier[s] = seen[s];
+            active.push(s);
+        }
+        let mut level = 0;
+        while !active.is_empty() {
+            level += 1;
+            for &v in &active {
+                let f = frontier[v];
+                let darts = g.neighbor_slice(v);
+                visits += darts.len();
+                for &(u, _) in darts {
+                    let seen_u = &mut seen[u];
+                    let gained: Lanes = std::array::from_fn(|w| f[w] & !seen_u[w]);
+                    if any_lane(&gained) {
+                        let next_u = &mut next[u];
+                        if !any_lane(next_u) {
+                            queued.push(u);
+                        }
+                        for w in 0..LANES / 64 {
+                            next_u[w] |= gained[w];
+                            seen_u[w] |= gained[w];
+                        }
+                    }
+                }
+            }
+            // Every lane that reached a node at this level has eccentricity
+            // at least `level`; the last such level is its eccentricity.
+            let mut reached = NO_LANES;
+            for &u in &queued {
+                let gained = std::mem::replace(&mut next[u], NO_LANES);
+                frontier[u] = gained;
+                for w in 0..LANES / 64 {
+                    reached[w] |= gained[w];
+                }
+            }
+            for (w, &word) in reached.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    ecc[batch[w * 64 + bits.trailing_zeros() as usize]] = level;
+                    bits &= bits - 1;
+                }
+            }
+            std::mem::swap(&mut active, &mut queued);
+            queued.clear();
+        }
+    }
+    for v in g.nodes().filter(|&v| pendant(v)) {
+        ecc[v] = ecc[g.neighbor_slice(v)[0].0] + 1;
+    }
+    (ecc, visits)
+}
+
+/// The nodes in BFS order from `source`, neighbours in port order.
+fn bfs_order(g: &Graph, source: NodeId) -> Vec<NodeId> {
+    let mut placed = vec![false; g.num_nodes()];
+    let mut order = vec![source];
+    placed[source] = true;
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for &(u, _) in g.neighbor_slice(v) {
+            if !placed[u] {
+                placed[u] = true;
+                order.push(u);
+            }
+        }
+    }
+    order
+}
+
+/// Diameter of the graph: maximum eccentricity over all nodes.
 pub fn diameter(g: &Graph) -> usize {
-    g.nodes().map(|v| eccentricity(g, v)).max().unwrap_or(0)
+    eccentricities(g).into_iter().max().unwrap_or(0)
 }
 
 /// Radius of the graph: minimum eccentricity.
 pub fn radius(g: &Graph) -> usize {
-    g.nodes().map(|v| eccentricity(g, v)).min().unwrap_or(0)
+    eccentricities(g).into_iter().min().unwrap_or(0)
 }
 
 /// Distance between two nodes.
@@ -183,6 +319,74 @@ mod tests {
         let g = generators::path(7);
         assert_eq!(diameter(&g), 6);
         assert_eq!(radius(&g), 3);
+    }
+
+    /// Asserts the multi-source kernel against one BFS per node.
+    fn assert_matches_oracle(g: &Graph) {
+        let ecc = eccentricities(g);
+        assert_eq!(ecc.len(), g.num_nodes());
+        for v in g.nodes() {
+            assert_eq!(ecc[v], eccentricity(g, v), "node {v}");
+        }
+    }
+
+    /// A path of `k` spine nodes with one pendant leaf on each: `k` non-leaf
+    /// sources (the spine ends have degree 2) and `k` pendants.
+    fn comb(k: usize) -> Graph {
+        let mut b = crate::GraphBuilder::new(2 * k);
+        for v in 0..k {
+            if v + 1 < k {
+                b.add_edge_auto(v, v + 1).unwrap();
+            }
+            b.add_edge_auto(v, k + v).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn eccentricities_match_the_bfs_oracle_on_small_graphs() {
+        let single = Graph::from_adjacency(vec![vec![]]).unwrap();
+        assert_eq!(eccentricities(&single), [0]);
+        // n = 2: both nodes are leaves, so the pendant rule must not fire.
+        assert_eq!(eccentricities(&generators::path(2)), [1, 1]);
+        assert_eq!(eccentricities(&generators::path(3)), [2, 1, 2]);
+        assert_eq!(eccentricities(&generators::star(5)), [1, 2, 2, 2, 2, 2]);
+        for g in [
+            generators::path(2),
+            generators::path(3),
+            generators::star(5),
+            generators::caterpillar(6),
+        ] {
+            assert_matches_oracle(&g);
+        }
+    }
+
+    #[test]
+    fn eccentricities_match_the_bfs_oracle_across_batches() {
+        // 600 sources: two full batches and a partial third.
+        assert_matches_oracle(&generators::ring(600));
+        assert_matches_oracle(&generators::path(600));
+        // Exactly one full batch of non-leaf sources, then one more.
+        assert_matches_oracle(&comb(256));
+        assert_matches_oracle(&comb(257));
+        assert_matches_oracle(&generators::lollipop(3, 254));
+        assert_matches_oracle(&generators::lollipop(3, 255));
+    }
+
+    #[test]
+    fn eccentricities_scan_a_tenth_of_the_per_node_bfs_darts() {
+        // One BFS per node scans n · 2m darts; the shared frontiers must cut
+        // that at least tenfold on the sparse random family.
+        for seed in [1, 2, 3] {
+            let g = generators::random_connected_sparse(5000, 5000, seed);
+            let (ecc, visits) = eccentricities_counted(&g);
+            assert_eq!(ecc.len(), 5000);
+            let per_node = g.num_nodes() * 2 * g.num_edges();
+            assert!(
+                visits <= per_node / 10,
+                "seed {seed}: {visits} dart visits, per-node BFS {per_node}"
+            );
+        }
     }
 
     #[test]

@@ -363,6 +363,30 @@ proptest! {
     }
 
     #[test]
+    fn multi_source_eccentricities_match_per_node_bfs(
+        ((n, p, seed), scale) in (graph_params(), 1usize..30)
+    ) {
+        // The 256-lane kernel against one BFS per node, on graphs of up to
+        // 720 nodes (three source batches): dense and sparse random graphs,
+        // trees (many pendants) and voltage lifts (no leaves, equal views).
+        let base = generators::random_connected(n, p, seed);
+        let mut graphs = vec![
+            generators::random_connected_sparse(n * scale, n * scale / 2, seed),
+            generators::random_tree(n * scale, seed),
+        ];
+        graphs.extend(lift::random_lift(&base, scale.max(2), seed));
+        graphs.push(base);
+        for g in &graphs {
+            let ecc = algo::eccentricities(g);
+            prop_assert_eq!(ecc.len(), g.num_nodes());
+            for v in g.nodes() {
+                let oracle = algo::eccentricity(g, v);
+                prop_assert!(ecc[v] == oracle, "node {}: {} != {}", v, ecc[v], oracle);
+            }
+        }
+    }
+
+    #[test]
     fn connected_lifts_are_infeasible_covers((n, p, seed) in (4usize..10, 0.3f64..0.7, any::<u64>())) {
         // A connected k-fold lift (k >= 2) is a fibration: all k nodes of a
         // fiber share every view, so the lift has no unique view
