@@ -103,17 +103,14 @@ fn any_lane(a: &Lanes) -> bool {
 /// Efficient Multi-Source Graph Traversal", VLDB 2014). Each node holds a
 /// 256-bit lane word, one bit per source of the current batch, so one pass
 /// over the shared frontier advances 256 BFS at once. Sources are taken in
-/// BFS order from node 0: the sources of a batch lie close together, their
-/// frontiers overlap, and a node is expanded once per level for the whole
-/// batch. Only nodes with a non-zero frontier word are expanded.
+/// order of distance from node 0: the sources of a batch lie close together,
+/// their frontiers overlap, and a node is expanded once per level for the
+/// whole batch. Only nodes with a non-zero frontier word are expanded.
 ///
-/// Pendant rule: when `n >= 3`, a degree-1 node `v` is never a source, and
-/// `ecc(v) = ecc(u) + 1` for its neighbour `u`. Every node other than `v`
-/// lies at `u`'s distance plus one from `v`, and since `n >= 3` some node
-/// other than `v` realises `ecc(u)`.
-///
-/// Pure cycles are the one known loss against one BFS per node: their
-/// frontiers never overlap, so the lane words buy nothing.
+/// Pure rings are the measured loss against one BFS per node: their
+/// frontiers never overlap, so the lane words buy nothing (`ring(996)` runs
+/// about 2.5× slower). A ring of cliques of the same size still gains
+/// (`ring_of_cliques(166, 5)` about 1.9× faster).
 pub fn eccentricities(g: &Graph) -> Vec<usize> {
     eccentricities_counted(g).0
 }
@@ -126,11 +123,9 @@ fn eccentricities_counted(g: &Graph) -> (Vec<usize>, usize) {
     if n == 0 {
         return (ecc, 0);
     }
-    let pendant = |v: NodeId| n >= 3 && g.degree(v) == 1;
-    let sources: Vec<NodeId> = bfs_order(g, 0)
-        .into_iter()
-        .filter(|&v| !pendant(v))
-        .collect();
+    let dist = bfs_distances(g, 0);
+    let mut sources: Vec<NodeId> = g.nodes().collect();
+    sources.sort_by_key(|&v| dist[v]);
 
     let mut seen = vec![NO_LANES; n];
     // `frontier[v]` is only read while `v` is active; `next[u]` is all-zero
@@ -191,28 +186,7 @@ fn eccentricities_counted(g: &Graph) -> (Vec<usize>, usize) {
             queued.clear();
         }
     }
-    for v in g.nodes().filter(|&v| pendant(v)) {
-        ecc[v] = ecc[g.neighbor_slice(v)[0].0] + 1;
-    }
     (ecc, visits)
-}
-
-/// The nodes in BFS order from `source`, neighbours in port order.
-fn bfs_order(g: &Graph, source: NodeId) -> Vec<NodeId> {
-    let mut placed = vec![false; g.num_nodes()];
-    let mut order = vec![source];
-    placed[source] = true;
-    let mut head = 0;
-    while let Some(&v) = order.get(head) {
-        head += 1;
-        for &(u, _) in g.neighbor_slice(v) {
-            if !placed[u] {
-                placed[u] = true;
-                order.push(u);
-            }
-        }
-    }
-    order
 }
 
 /// Diameter of the graph: maximum eccentricity over all nodes.
@@ -330,24 +304,10 @@ mod tests {
         }
     }
 
-    /// A path of `k` spine nodes with one pendant leaf on each: `k` non-leaf
-    /// sources (the spine ends have degree 2) and `k` pendants.
-    fn comb(k: usize) -> Graph {
-        let mut b = crate::GraphBuilder::new(2 * k);
-        for v in 0..k {
-            if v + 1 < k {
-                b.add_edge_auto(v, v + 1).unwrap();
-            }
-            b.add_edge_auto(v, k + v).unwrap();
-        }
-        b.build().unwrap()
-    }
-
     #[test]
     fn eccentricities_match_the_bfs_oracle_on_small_graphs() {
         let single = Graph::from_adjacency(vec![vec![]]).unwrap();
         assert_eq!(eccentricities(&single), [0]);
-        // n = 2: both nodes are leaves, so the pendant rule must not fire.
         assert_eq!(eccentricities(&generators::path(2)), [1, 1]);
         assert_eq!(eccentricities(&generators::path(3)), [2, 1, 2]);
         assert_eq!(eccentricities(&generators::star(5)), [1, 2, 2, 2, 2, 2]);
@@ -366,11 +326,11 @@ mod tests {
         // 600 sources: two full batches and a partial third.
         assert_matches_oracle(&generators::ring(600));
         assert_matches_oracle(&generators::path(600));
-        // Exactly one full batch of non-leaf sources, then one more.
-        assert_matches_oracle(&comb(256));
-        assert_matches_oracle(&comb(257));
+        // Exactly one full batch of sources, then one more.
+        assert_matches_oracle(&generators::lollipop(3, 253));
         assert_matches_oracle(&generators::lollipop(3, 254));
-        assert_matches_oracle(&generators::lollipop(3, 255));
+        assert_matches_oracle(&generators::path(256));
+        assert_matches_oracle(&generators::path(257));
     }
 
     #[test]

@@ -367,8 +367,8 @@ proptest! {
         ((n, p, seed), scale) in (graph_params(), 1usize..30)
     ) {
         // The 256-lane kernel against one BFS per node, on graphs of up to
-        // 720 nodes (three source batches): dense and sparse random graphs,
-        // trees (many pendants) and voltage lifts (no leaves, equal views).
+        // 667 nodes (three source batches): dense and sparse random graphs,
+        // trees (many leaves) and voltage lifts (no leaves, equal views).
         let base = generators::random_connected(n, p, seed);
         let mut graphs = vec![
             generators::random_connected_sparse(n * scale, n * scale / 2, seed),
@@ -422,7 +422,9 @@ proptest! {
         prop_assert_eq!(phi.clone().ok(), election_index(&g));
         for _ in 0..3 {
             prop_assert_eq!(inst.phi(), phi.clone());
-            prop_assert_eq!(inst.diameter(), algo::diameter(&g));
+            // One BFS per node, independent of the multi-source kernel.
+            let oracle = g.nodes().map(|v| algo::eccentricity(&g, v)).max();
+            prop_assert_eq!(Some(inst.diameter()), oracle);
             prop_assert_eq!(inst.feasibility(), inst.feasibility());
         }
         let depth = phi.unwrap_or(2).min(4);
