@@ -34,5 +34,5 @@ pub mod trie;
 
 pub use bitstring::BitString;
 pub use codec::{concat, decode};
-pub use tree::LabeledTree;
+pub use tree::{LabeledTree, ParentIndex};
 pub use trie::{Query, Trie};

@@ -87,13 +87,16 @@ impl LabeledTree {
         None
     }
 
-    /// The parent relation of the tree, indexed by label: maps the label of
-    /// every non-root node to `(parent_label, port_at_node, port_at_parent)`.
+    /// The parent relation of the tree on dense indices (a
+    /// [`ParentIndex`]): every node in DFS preorder with its parent's
+    /// index, the ports at both ends of its parent edge and its depth, plus
+    /// one sorted label → node entry per node.
     ///
-    /// Built in one `O(n)` traversal, this turns [`path_to_root`] — an
-    /// `O(n)` tree search per query — into an `O(path length)` walk per
-    /// node, which is what lets a 10k-node election assemble all of its
-    /// outputs in `O(Σ path lengths)` total:
+    /// Built in one `O(n log n)` pass, this turns [`path_to_root`] — an
+    /// `O(n)` tree search per query — into one label lookup and an
+    /// `O(path length)` walk of array indices per node, which is what lets
+    /// a 10k-node election assemble all of its outputs in
+    /// `O(n log n + Σ path lengths)` total:
     ///
     /// ```
     /// use anet_advice::LabeledTree;
@@ -103,49 +106,33 @@ impl LabeledTree {
     ///     children: vec![(0, 1, LabeledTree::leaf(2))],
     /// };
     /// let parents = tree.parent_map();
-    /// assert_eq!(parents.get(&2), Some(&(1, 1, 0)));
-    /// // Walking the map reproduces path_to_root exactly.
-    /// assert_eq!(tree.path_to_root(2), Some(vec![1, 0]));
+    /// let node = parents.node_of(2).unwrap();
+    /// assert_eq!(parents.depth(node), 1);
+    /// assert_eq!(parents.hops(node).collect::<Vec<_>>(), vec![(1, 0)]);
+    /// // Walking the index reproduces path_to_root exactly.
+    /// assert_eq!(tree.path_to_root_via(&parents, 2), tree.path_to_root(2));
     /// ```
     ///
     /// [`path_to_root`]: LabeledTree::path_to_root
-    pub fn parent_map(&self) -> std::collections::HashMap<u64, (u64, u64, u64)> {
-        let mut map = std::collections::HashMap::new();
-        let mut stack = vec![self];
-        while let Some(node) = stack.pop() {
-            for (port_here, port_child, child) in &node.children {
-                map.insert(child.label, (node.label, *port_child, *port_here));
-                stack.push(child);
-            }
-        }
-        map
+    pub fn parent_map(&self) -> ParentIndex {
+        ParentIndex::of(self)
     }
 
-    /// Walks a parent relation produced by [`parent_map`] from the node
-    /// labeled `label` up to the root: the `O(path length)` equivalent of
-    /// [`path_to_root`], with identical output. Returns `None` if the label
-    /// is absent or the relation is malformed (a cycle, or a chain that
-    /// never reaches the root).
+    /// Walks a [`ParentIndex`] of this tree (from [`parent_map`]) from the
+    /// node labeled `label` up to the root: the `O(path length)` equivalent
+    /// of [`path_to_root`], with identical output, allocated at its exact
+    /// length. Returns `None` if the label is absent or the index has a
+    /// [repeated label](ParentIndex::repeated_label) (a tree no valid
+    /// advice contains).
     ///
     /// [`parent_map`]: LabeledTree::parent_map
     /// [`path_to_root`]: LabeledTree::path_to_root
-    pub fn path_to_root_via(
-        &self,
-        parents: &std::collections::HashMap<u64, (u64, u64, u64)>,
-        label: u64,
-    ) -> Option<Vec<u64>> {
-        let mut flat = Vec::new();
-        let mut cur = label;
-        let mut hops = 0usize;
-        while cur != self.label {
-            let &(parent, port_child, port_parent) = parents.get(&cur)?;
-            flat.push(port_child);
-            flat.push(port_parent);
-            cur = parent;
-            hops += 1;
-            if hops > parents.len() {
-                return None;
-            }
+    pub fn path_to_root_via(&self, parents: &ParentIndex, label: u64) -> Option<Vec<u64>> {
+        let node = parents.node_of(label)?;
+        let mut flat = Vec::with_capacity(2 * parents.depth(node));
+        for (port_at_node, port_at_parent) in parents.hops(node) {
+            flat.push(port_at_node);
+            flat.push(port_at_parent);
         }
         Some(flat)
     }
@@ -207,6 +194,130 @@ impl LabeledTree {
     }
 }
 
+/// One node of a [`ParentIndex`]: the edge to its parent and its depth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IndexedNode {
+    /// Index of the parent (the root points at itself).
+    parent: usize,
+    /// Port of the parent edge at this node.
+    port_at_node: u64,
+    /// Port of the parent edge at the parent.
+    port_at_parent: u64,
+    /// Number of edges from this node up to the root.
+    depth: usize,
+}
+
+/// The parent relation of a [`LabeledTree`] on dense indices, built by
+/// [`LabeledTree::parent_map`].
+///
+/// Nodes are numbered in DFS preorder, so the root is node 0 and every
+/// parent index is smaller than its child's: walks up the tree always end at
+/// the root, whatever labels the tree carries. Labels are found by binary
+/// search in one sorted `(label, node)` entry per node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParentIndex {
+    /// Every node, in DFS preorder.
+    nodes: Vec<IndexedNode>,
+    /// `(label, node)` for every node, sorted.
+    by_label: Vec<(u64, usize)>,
+    /// The smallest label carried by more than one node, if any.
+    repeated: Option<u64>,
+}
+
+impl ParentIndex {
+    fn of(tree: &LabeledTree) -> Self {
+        let root = IndexedNode {
+            parent: 0,
+            port_at_node: 0,
+            port_at_parent: 0,
+            depth: 0,
+        };
+        let mut nodes = Vec::new();
+        let mut by_label = Vec::new();
+        // Children are pushed in reverse so they pop in order: preorder.
+        let mut stack = vec![(tree, root)];
+        while let Some((t, entry)) = stack.pop() {
+            let index = nodes.len();
+            nodes.push(entry);
+            by_label.push((t.label, index));
+            for (port_here, port_child, child) in t.children.iter().rev() {
+                let child_entry = IndexedNode {
+                    parent: index,
+                    port_at_node: *port_child,
+                    port_at_parent: *port_here,
+                    depth: entry.depth + 1,
+                };
+                stack.push((child, child_entry));
+            }
+        }
+        by_label.sort_unstable();
+        let repeated = by_label
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0)
+            .map(|w| w[0].0);
+        ParentIndex {
+            nodes,
+            by_label,
+            repeated,
+        }
+    }
+
+    /// The smallest label carried by more than one node, if any. Valid
+    /// advice labels its tree with a permutation, so a repeated label marks
+    /// a malformed tree.
+    pub fn repeated_label(&self) -> Option<u64> {
+        self.repeated
+    }
+
+    /// The node labeled `label`, or `None` if no node, or more than one
+    /// node, carries it (see [`repeated_label`](ParentIndex::repeated_label)).
+    pub fn node_of(&self, label: u64) -> Option<usize> {
+        if self.repeated.is_some() {
+            return None;
+        }
+        self.by_label
+            .binary_search_by_key(&label, |&(l, _)| l)
+            .ok()
+            .map(|i| self.by_label[i].1)
+    }
+
+    /// Number of edges from `node` up to the root.
+    ///
+    /// # Panics
+    /// Panics if `node` is not a node of the tree (every value
+    /// [`node_of`](ParentIndex::node_of) returns is).
+    pub fn depth(&self, node: usize) -> usize {
+        self.nodes[node].depth
+    }
+
+    /// The edges from `node` up to the root, each as `(port at the lower
+    /// node, port at the upper node)`; exactly [`depth`](ParentIndex::depth)
+    /// items.
+    pub fn hops(&self, node: usize) -> Hops<'_> {
+        Hops { index: self, node }
+    }
+}
+
+/// The iterator of [`ParentIndex::hops`].
+#[derive(Debug, Clone)]
+pub struct Hops<'a> {
+    index: &'a ParentIndex,
+    node: usize,
+}
+
+impl Iterator for Hops<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let entry = self.index.nodes.get(self.node)?;
+        if entry.depth == 0 {
+            return None;
+        }
+        self.node = entry.parent;
+        Some((entry.port_at_node, entry.port_at_parent))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,21 +365,27 @@ mod tests {
     fn parent_map_walk_reproduces_path_to_root() {
         let t = sample_tree();
         let parents = t.parent_map();
-        assert_eq!(parents.len(), t.size() - 1);
         for label in t.labels() {
             assert_eq!(
                 t.path_to_root_via(&parents, label),
                 t.path_to_root(label),
                 "label {label}"
             );
+            let node = parents.node_of(label).unwrap();
+            assert_eq!(parents.hops(node).count(), parents.depth(node));
         }
-        assert!(!parents.contains_key(&t.label));
-        // Absent labels and cyclic relations are rejected, not looped on.
+        // The root is node 0 of the preorder, at depth 0.
+        assert_eq!(parents.node_of(t.label), Some(0));
+        assert_eq!(parents.repeated_label(), None);
+        // Absent labels are rejected.
         assert_eq!(t.path_to_root_via(&parents, 99), None);
-        let mut cyclic = std::collections::HashMap::new();
-        cyclic.insert(7u64, (8u64, 0u64, 0u64));
-        cyclic.insert(8u64, (7u64, 0u64, 0u64));
-        assert_eq!(t.path_to_root_via(&cyclic, 7), None);
+        // A repeated label makes every lookup fail, not pick one copy.
+        let mut dup = sample_tree();
+        dup.children[0].2.label = 4;
+        let dup_parents = dup.parent_map();
+        assert_eq!(dup_parents.repeated_label(), Some(4));
+        assert_eq!(dup.path_to_root_via(&dup_parents, 4), None);
+        assert_eq!(dup.path_to_root_via(&dup_parents, 1), None);
     }
 
     #[test]

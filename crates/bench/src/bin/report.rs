@@ -770,13 +770,25 @@ fn parse_flags(subcommand: &str, args: &[String], accept_seed: bool) -> ReportFl
     flags
 }
 
+/// The `--max-n` each sweep subcommand defaults to: the largest tier of its
+/// committed artifact, so a bare run re-emits that artifact's tiers and
+/// never builds a larger instance than it holds.
+fn default_max_n(subcommand: &str) -> usize {
+    match subcommand {
+        "bench-index" | "bench-quotient" => 1_000_000,
+        _ => 100_000,
+    }
+}
+
 /// Parses the shared `--json/--max-n/--threads/--no-wall` flags of the
-/// sweep subcommands, exiting on malformed input.
+/// sweep subcommands, exiting on malformed input. `--max-n` defaults to
+/// [`default_max_n`], the same way [`parse_corpus_flags`] defaults to its
+/// artifact spec.
 fn parse_sweep_flags(subcommand: &str, args: &[String]) -> (Option<String>, usize, usize, bool) {
     let flags = parse_flags(subcommand, args, false);
     (
         flags.json,
-        flags.max_n.unwrap_or(usize::MAX),
+        flags.max_n.unwrap_or_else(|| default_max_n(subcommand)),
         flags.threads,
         flags.no_wall,
     )

@@ -12,8 +12,9 @@
 //! [`Remark`](anet_election::Remark) — reuse every cached piece, so the
 //! whole curve costs little more than its most expensive point. Instances
 //! are processed
-//! in parallel with `std::thread::scope` workers. Re-emit with (without
-//! `--max-n` the 1M-node tier runs too, and the artifact leaves it out):
+//! in parallel with `std::thread::scope` workers. Re-emit with (`--max-n`
+//! defaults to the artifact's 100k tier; the 1M-node tier runs only when a
+//! larger value is passed):
 //!
 //! ```text
 //! cargo run --release -p anet-bench --bin report -- sweep --max-n 100000 --json BENCH_sweep.json --threads 4

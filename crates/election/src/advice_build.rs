@@ -14,17 +14,25 @@
 //!
 //! Theorem 3.1 bounds the total length by `O(n log n)` bits; the experiment
 //! harness measures it.
+//!
+//! The algorithm needs the canonical order of views at every depth. The
+//! production builder ([`compute_advice`]) reads it from the refinement
+//! class rows the [`Instance`](crate::Instance) already caches, whose class
+//! order is canonical view order: one `O(n)` pass per depth names each
+//! class by a node, and no view comparison walks the arena. The
+//! materialized-tree builder [`compute_advice_reference`] stays as the
+//! oracle it is tested against.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use anet_advice::{codec, BitString, LabeledTree, Trie};
 use anet_graph::{algo, Graph, NodeId};
-use anet_views::{election_index, AugmentedView, ShardedViewArena, ViewId};
+use anet_views::{election_index, AugmentedView, ClassId, ShardedViewArena, ViewId};
 
 use crate::error::ElectionError;
 use crate::labels::{
     build_trie, build_trie_arena, decode_e2, encode_e2, retrieve_label, retrieve_label_arena,
-    LabelMemo, NestedList,
+    LabelMemo, NestedList, ViewRanks,
 };
 
 /// The advice produced by the oracle, together with the intermediate objects
@@ -73,11 +81,12 @@ pub struct DecodedAdvice {
 
 /// Runs `ComputeAdvice(G)` (Algorithm 5) on the hash-consed view arena.
 ///
-/// Every view set the algorithm manipulates is held as interned
-/// [`ViewId`]s: grouping nodes by their depth-`(i-1)` view is id grouping,
-/// the `BuildTrie` splits compare ids, and `RetrieveLabel` is memoized per
-/// distinct view — so the oracle side scales to the same `large_graphs()`
-/// sweep as the φ engine. [`compute_advice_reference`] keeps the original
+/// Every view set the algorithm manipulates comes from the session's
+/// refinement ranks: grouping nodes by their depth-`(i-1)` view is a
+/// counting sort on class ids, the `BuildTrie` splits compare class ids,
+/// and `RetrieveLabel` runs on interned [`ViewId`]s, memoized per distinct
+/// view — so the oracle side scales to the same `large_graphs()` sweep as
+/// the φ engine. [`compute_advice_reference`] keeps the original
 /// materialized-tree construction; both produce bit-identical advice
 /// (asserted by unit and property tests).
 ///
@@ -93,43 +102,58 @@ pub fn compute_advice(g: &Graph) -> Result<Advice, ElectionError> {
 }
 
 /// The core of `ComputeAdvice(G)` on an already-analyzed graph: `phi` is the
-/// election index and `levels[d][v]` is the interned id of `B^d(v)` in
-/// `arena` for every depth `0..=phi` (the shape
-/// [`ShardedViewArena::compute_levels`] produces). Called by
+/// election index, `levels[d][v]` is the interned id of `B^d(v)` in `arena`
+/// and `rows[d][v]` its refinement class, for every depth `0..=phi` (the
+/// shapes [`ShardedViewArena::compute_levels`] and
+/// [`ViewClasses`](anet_views::ViewClasses) produce). Called by
 /// [`Instance::advice`](crate::Instance::advice) against the session's
-/// shared arena.
+/// shared arena and class table.
+///
+/// Class order is canonical view order, so every view set the algorithm
+/// sorts comes out of one `O(n)` pass per depth: each class is named by its
+/// smallest node, `E1`'s set is the depth-1 classes in order, and `E2`'s
+/// groups are the depth-`i` classes bucketed by their depth-`(i-1)` class.
 pub(crate) fn compute_advice_in(
     g: &Graph,
     phi: usize,
     arena: &ShardedViewArena,
     levels: &[Vec<ViewId>],
+    rows: &[&[ClassId]],
 ) -> Advice {
     debug_assert!(phi >= 1);
     debug_assert_eq!(levels.len(), phi + 1);
+    debug_assert!(rows.len() > phi);
+    let ranks = ViewRanks {
+        graph: g,
+        levels,
+        rows,
+    };
     let mut memo = LabelMemo::new();
 
-    // E1: the trie over all distinct depth-1 views.
-    let distinct_1 = distinct_sorted_ids(arena, &levels[1]);
-    let e1 = build_trie_arena(arena, &distinct_1, None, &Vec::new(), &mut memo);
+    // E1: the trie over all distinct depth-1 views, in canonical order.
+    let e1 = build_trie_arena(
+        arena,
+        &ranks,
+        1,
+        &representatives(rows[1]),
+        None,
+        &Vec::new(),
+        &mut memo,
+    );
 
     // E2: iteratively add one (i, L(i)) entry per depth 2..=φ.
     let mut e2: NestedList = Vec::new();
     for i in 2..=phi {
-        // Group nodes by their depth-(i-1) view, in canonical view order.
-        let mut groups: HashMap<ViewId, Vec<NodeId>> = HashMap::new();
-        for v in g.nodes() {
-            groups.entry(levels[i - 1][v]).or_default().push(v);
-        }
-        // lint: ordered(keys are re-sorted by canonical view order on the next line)
-        let mut keys: Vec<ViewId> = groups.keys().copied().collect();
-        keys.sort_by(|&a, &b| arena.cmp_views(a, b));
+        let (starts, members) = group_by_parent(&representatives(rows[i]), rows[i - 1]);
         let mut l_i: Vec<(u64, Trie)> = Vec::new();
-        for b_prime in keys {
-            let members: Vec<ViewId> = groups[&b_prime].iter().map(|&v| levels[i][v]).collect();
-            let x = distinct_sorted_ids(arena, &members);
+        // One group per depth-(i-1) view, in canonical order; its members
+        // are the distinct depth-i views extending it, in canonical order.
+        for w in starts.windows(2) {
+            let x = &members[w[0]..w[1]];
             if x.len() > 1 {
+                let b_prime = levels[i - 1][x[0]];
                 let j = retrieve_label_arena(arena, b_prime, &e1, &e2, &mut memo);
-                let t_j = build_trie_arena(arena, &x, Some(&e1), &e2, &mut memo);
+                let t_j = build_trie_arena(arena, &ranks, i, x, Some(&e1), &e2, &mut memo);
                 l_i.push((j, t_j));
             }
         }
@@ -164,6 +188,40 @@ pub(crate) fn compute_advice_in(
         labels,
         root,
     }
+}
+
+/// The smallest node of every class of a dense class row, by class:
+/// `reps[c]` has class `c`. Class order is canonical view order, so this is
+/// the distinct views of the row, sorted.
+pub(crate) fn representatives(row: &[ClassId]) -> Vec<NodeId> {
+    let classes = row.iter().map(|&c| c + 1).max().unwrap_or(0);
+    let mut reps = vec![NodeId::MAX; classes];
+    for (v, &c) in row.iter().enumerate().rev() {
+        reps[c] = v;
+    }
+    reps
+}
+
+/// Buckets the class representatives `reps` of depth `i` by their class in
+/// `parent_row` (depth `i - 1`) with a counting sort: group `p` is
+/// `members[starts[p]..starts[p + 1]]`, in the order of `reps`.
+fn group_by_parent(reps: &[NodeId], parent_row: &[ClassId]) -> (Vec<usize>, Vec<NodeId>) {
+    let groups = reps.iter().map(|&v| parent_row[v] + 1).max().unwrap_or(0);
+    let mut starts = vec![0usize; groups + 1];
+    for &v in reps {
+        starts[parent_row[v] + 1] += 1;
+    }
+    for p in 0..groups {
+        starts[p + 1] += starts[p];
+    }
+    let mut next = starts.clone();
+    let mut members = vec![0; reps.len()];
+    for &v in reps {
+        let slot = &mut next[parent_row[v]];
+        members[*slot] = v;
+        *slot += 1;
+    }
+    (starts, members)
 }
 
 /// The original `ComputeAdvice` over materialized [`AugmentedView`] trees —
@@ -307,16 +365,6 @@ fn build_subtree(u: NodeId, children: &[Vec<(u64, u64, NodeId)>], labels: &[u64]
 fn distinct_sorted(views: &[AugmentedView]) -> Vec<AugmentedView> {
     let mut out = views.to_vec();
     out.sort();
-    out.dedup();
-    out
-}
-
-/// Deduplicates and canonically sorts a collection of interned views (the
-/// arena analogue of [`distinct_sorted`]: id dedup after a
-/// [`ShardedViewArena::cmp_views`] sort).
-fn distinct_sorted_ids(arena: &ShardedViewArena, ids: &[ViewId]) -> Vec<ViewId> {
-    let mut out = ids.to_vec();
-    out.sort_by(|&a, &b| arena.cmp_views(a, b));
     out.dedup();
     out
 }

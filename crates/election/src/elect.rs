@@ -27,9 +27,10 @@
 //! * the advice string is decoded once instead of once per node,
 //! * `RetrieveLabel` is memoized per distinct view across nodes
 //!   ([`LabelMemo`]), and
-//! * the BFS tree's parent relation is indexed once
+//! * the BFS tree's parent relation is indexed once on dense indices
 //!   ([`anet_advice::LabeledTree::parent_map`]) so each node's output path
-//!   costs its own length instead of an `O(n)` tree search.
+//!   costs one label lookup plus its own length instead of an `O(n)` tree
+//!   search, and is written once at its exact length.
 //!
 //! Together these make [`elect_all`] complete on the full `large_graphs()`
 //! sweep (n up to 10k) in milliseconds-to-seconds; the `bench-elect` sweep
@@ -267,26 +268,22 @@ fn outputs_from_view_ids(
 ) -> Result<Vec<PortPath>, ElectionError> {
     let mut memo = LabelMemo::new();
     let parents = decoded.tree.parent_map();
+    if let Some(label) = parents.repeated_label() {
+        return Err(ElectionError::MalformedAdvice(format!(
+            "label {label} appears twice in the advice tree"
+        )));
+    }
     let mut outputs = Vec::with_capacity(ids.len());
     for &id in ids {
         let x = retrieve_label_arena(arena, id, &decoded.e1, &decoded.e2, &mut memo);
-        // O(path length) walk through the pre-indexed parent relation,
-        // identical to LabeledTree::path_to_root.
-        let flat: Vec<usize> = decoded
-            .tree
-            .path_to_root_via(&parents, x)
-            .ok_or_else(|| {
-                ElectionError::MalformedAdvice(format!(
-                    "label {x} has no path to the root in the advice tree"
-                ))
-            })?
-            .iter()
-            .map(|&p| p as usize)
-            .collect();
-        outputs.push(
-            PortPath::from_flat(&flat)
-                .ok_or_else(|| ElectionError::MalformedAdvice("odd-length tree path".into()))?,
-        );
+        let node = parents.node_of(x).ok_or_else(|| {
+            ElectionError::MalformedAdvice(format!("label {x} is not in the advice tree"))
+        })?;
+        // O(path length) walk through the dense parent index, identical to
+        // LabeledTree::path_to_root, written once at its exact length.
+        let mut pairs = Vec::with_capacity(parents.depth(node));
+        pairs.extend(parents.hops(node).map(|(p, q)| (p as usize, q as usize)));
+        outputs.push(PortPath::from_pairs(pairs));
     }
     Ok(outputs)
 }
@@ -399,6 +396,25 @@ mod tests {
         assert_eq!(perm[og.leader], oh.leader);
         assert_eq!(og.time, oh.time);
         assert_eq!(og.advice_bits, oh.advice_bits);
+    }
+
+    #[test]
+    fn a_repeated_tree_label_is_malformed_advice() {
+        // Valid advice labels its tree with a permutation; bits whose tree
+        // repeats a label must be refused, not resolved to either copy.
+        use crate::labels::encode_e2;
+        use anet_advice::codec;
+        let g = generators::lollipop(5, 4);
+        let advice = compute_advice(&g).unwrap();
+        let mut tree = advice.tree.clone();
+        tree.children[0].2.label = tree.label;
+        let a1 = codec::concat(&[advice.e1.encode(), encode_e2(&advice.e2)]);
+        let bits = codec::concat(&[BitString::from_uint(advice.phi as u64), a1, tree.encode()]);
+        let arena = Arc::new(ShardedViewArena::new());
+        assert!(matches!(
+            simulate_election_in(&g, &bits, &arena),
+            Err(ElectionError::MalformedAdvice(_))
+        ));
     }
 
     #[test]

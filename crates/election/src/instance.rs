@@ -280,7 +280,8 @@ impl Instance {
     }
 
     /// The full minimum-time advice (`ComputeAdvice(G)`, Algorithm 5),
-    /// computed once on the shared arena. Errors on infeasible graphs.
+    /// computed once on the shared arena, with every canonical view order
+    /// read from the cached class rows `0..=φ`. Errors on infeasible graphs.
     pub fn advice(&self) -> Result<&Advice, ElectionError> {
         // Resolve φ and the levels before entering the OnceCell closure so
         // the error path does not poison the cache with `Infeasible` before
@@ -292,7 +293,10 @@ impl Instance {
             .get_or_init(|| {
                 let (phi, levels) = deps?;
                 self.bump(|c| c.advice += 1);
-                Ok(compute_advice_in(&self.graph, phi, &self.arena, levels))
+                Ok(self.with_classes_at(phi, |classes| {
+                    let rows: Vec<&[ClassId]> = (0..=phi).map(|d| classes.row_at(d)).collect();
+                    compute_advice_in(&self.graph, phi, &self.arena, levels, &rows)
+                }))
             })
             .as_ref()
             .map_err(Clone::clone)

@@ -12,11 +12,18 @@
 //! canonical order of [`AugmentedView`] for views of depth `>= 2`, and by the
 //! paper-exact `bin(B^1)` code (see [`crate::encoding`]) for views of depth
 //! 1 — the depth-1 trie queries literally ask about bits of that code.
+//!
+//! The oracle side builds its tries over the refinement ranks of the graph
+//! ([`ViewRanks`]): class order is canonical view order, so finding the two
+//! smallest views of a set is one scan over integers. `RetrieveLabel` has a
+//! single arena implementation, [`retrieve_label_arena`], which both the
+//! oracle and the nodes call.
 
 use std::collections::HashMap;
 
 use anet_advice::{codec, BitString, Trie};
-use anet_views::{AugmentedView, ShardedViewArena, ViewId};
+use anet_graph::{Graph, NodeId};
+use anet_views::{AugmentedView, ClassId, ShardedViewArena, ViewId};
 
 use crate::encoding::{bin_b1, bin_b1_arena};
 
@@ -201,9 +208,11 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 //
 // The functions below answer the same discrimination queries as their
 // tree-based counterparts above, but against hash-consed `ViewId`s of a
-// [`ShardedViewArena`]: equality of subviews is id equality (O(1)), the
-// canonical order is `ShardedViewArena::cmp_views`, and `bin(B^1)` queries
-// read the `O(Δ)` arena record directly. All arena methods take `&self`
+// [`ShardedViewArena`]: equality of subviews is id equality (O(1)), and
+// `bin(B^1)` queries read the `O(Δ)` arena record directly. `BuildTrie`
+// names views by nodes and takes the canonical order from the refinement
+// ranks of [`ViewRanks`], so no view comparison walks the arena. All arena
+// methods take `&self`
 // (the sharding hides the interior locking), so the label engine threads a
 // plain shared reference. `retrieve_label_arena` additionally memoizes per
 // distinct view and replaces the `Θ(label)` summation loop of the
@@ -226,8 +235,8 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 ///   `ComputeAdvice` finalizes those before labeling any depth-`d` view.
 /// * `bins` — the paper-exact `bin(B^1)` code per distinct depth-1 view
 ///   (the hot pure operation of the depth-1 trie machinery, in the same
-///   spirit as the arena's internal `truncate_one`/`cmp_views` memo
-///   caches). A view's code is immutable, so entries never invalidate.
+///   spirit as the arena's internal `truncate_one` memo). A view's code is
+///   immutable, so entries never invalidate.
 /// * `depths` — one index of `L(d)` per depth `d` (`DepthIndex`), built
 ///   the first time a depth-`d` view is labeled. It stays valid by the same
 ///   rule as `labels`: `ComputeAdvice` finalizes `L(d)` before it labels
@@ -430,14 +439,46 @@ pub fn retrieve_label_arena(
     label
 }
 
+/// The dense refinement ranks of one analysed graph, by which the arena
+/// `BuildTrie` orders and compares views instead of walking the arena.
+///
+/// `levels[d][v]` is the interned id of `B^d(v)` and `rows[d][v]` its class
+/// at depth `d`: equal classes are equal views, and class order is the
+/// canonical view order (the [`ViewClasses`](anet_views::ViewClasses)
+/// contract, pinned to the explicit trees by property tests). A view in a
+/// set handed to [`build_trie_arena`] is named by any node that has it, so
+/// its children are that node's neighbors and comparing two subviews is
+/// comparing two integers.
+#[derive(Debug, Clone, Copy)]
+pub struct ViewRanks<'a> {
+    /// The analysed graph.
+    pub graph: &'a Graph,
+    /// `levels[d][v]`: the interned id of `B^d(v)`, for every depth used.
+    pub levels: &'a [Vec<ViewId>],
+    /// `rows[d][v]`: the class of `B^d(v)`, for the same depths.
+    pub rows: &'a [&'a [ClassId]],
+}
+
+impl ViewRanks<'_> {
+    /// The class at depth `depth - 1` of the subview of `B^depth(v)` through
+    /// port `port` (the view of `v`'s neighbor there), if the port exists.
+    fn child_rank(&self, depth: usize, v: NodeId, port: usize) -> Option<ClassId> {
+        let (u, _) = self.graph.try_neighbor(v, port)?;
+        Some(self.rows[depth - 1][u])
+    }
+}
+
 /// `BuildTrie(S, E1, E2)` — Algorithm 4 — over arena views. Produces the
 /// same trie as [`build_trie`] on the materialized views of `s`: the splits,
-/// queries and recursion order are identical, with subview equality answered
-/// by id comparison and the canonical order by
-/// [`ShardedViewArena::cmp_views`].
+/// queries and recursion order are identical. `s` names distinct depth-`depth`
+/// views by one node each (see [`ViewRanks`]); subview equality and the
+/// canonical order are answered by class ranks, and `RetrieveLabel` of a
+/// discriminatory subview by [`retrieve_label_arena`] on its interned id.
 pub fn build_trie_arena(
     arena: &ShardedViewArena,
-    s: &[ViewId],
+    ranks: &ViewRanks<'_>,
+    depth: usize,
+    s: &[NodeId],
     e1: Option<&Trie>,
     e2: &NestedList,
     memo: &mut LabelMemo,
@@ -446,18 +487,21 @@ pub fn build_trie_arena(
     // shared memo cache up front spares every recursion level of the
     // depth-1 branch a re-encode (and later label queries reuse them).
     if e1.is_none() {
-        for &id in s {
+        for &v in s {
+            let id = ranks.levels[depth][v];
             memo.bins
                 .entry(id)
                 .or_insert_with(|| bin_b1_arena(arena, id));
         }
     }
-    build_trie_arena_inner(arena, s, e1, e2, memo)
+    build_trie_arena_inner(arena, ranks, depth, s, e1, e2, memo)
 }
 
 fn build_trie_arena_inner(
     arena: &ShardedViewArena,
-    s: &[ViewId],
+    ranks: &ViewRanks<'_>,
+    depth: usize,
+    s: &[NodeId],
     e1: Option<&Trie>,
     e2: &NestedList,
     memo: &mut LabelMemo,
@@ -466,9 +510,12 @@ fn build_trie_arena_inner(
     if s.len() == 1 {
         return Trie::leaf();
     }
-    let (val, s_prime, s_rest): ((u64, u64), Vec<ViewId>, Vec<ViewId>) = match e1 {
+    let (val, s_prime, s_rest): ((u64, u64), Vec<NodeId>, Vec<NodeId>) = match e1 {
         None => {
-            let bins: Vec<&BitString> = s.iter().map(|id| &memo.bins[id]).collect();
+            let bins: Vec<&BitString> = s
+                .iter()
+                .map(|&v| &memo.bins[&ranks.levels[depth][v]])
+                .collect();
             let max = bins.iter().map(|b| b.len()).max().unwrap();
             let min = bins.iter().map(|b| b.len()).min().unwrap();
             if min < max {
@@ -490,7 +537,8 @@ fn build_trie_arena_inner(
             }
         }
         Some(e1_trie) => {
-            let (index, b_disc) = discriminatory_index_and_subview_arena(arena, s);
+            let (index, disc) = discriminatory_index_and_subview_arena(ranks, depth, s);
+            let disc_rank = ranks.rows[depth - 1][disc];
             let mut s_prime = Vec::new();
             let mut s_rest = Vec::new();
             for &v in s {
@@ -498,21 +546,22 @@ fn build_trie_arena_inner(
                 // same degree); a hypothetical out-of-range port lands the
                 // view in `s_prime`, matching the tree oracle's index panic
                 // domain never being reached.
-                if arena.child(v, index).map(|(_, c)| c) != Some(b_disc) {
+                if ranks.child_rank(depth, v, index) != Some(disc_rank) {
                     s_prime.push(v);
                 } else {
                     s_rest.push(v);
                 }
             }
-            let label = retrieve_label_arena(arena, b_disc, e1_trie, e2, memo);
+            let disc_id = ranks.levels[depth - 1][disc];
+            let label = retrieve_label_arena(arena, disc_id, e1_trie, e2, memo);
             ((index as u64, label), s_prime, s_rest)
         }
     };
     debug_assert!(!s_prime.is_empty() && !s_rest.is_empty());
     Trie::internal(
         val,
-        build_trie_arena_inner(arena, &s_prime, e1, e2, memo),
-        build_trie_arena_inner(arena, &s_rest, e1, e2, memo),
+        build_trie_arena_inner(arena, ranks, depth, &s_prime, e1, e2, memo),
+        build_trie_arena_inner(arena, ranks, depth, &s_rest, e1, e2, memo),
     )
 }
 
@@ -520,10 +569,10 @@ fn build_trie_arena_inner(
 /// the relative order of `s` in both halves — the partition used by the
 /// depth-1 branch of `BuildTrie`.
 fn partition_preserving_order(
-    s: &[ViewId],
+    s: &[NodeId],
     bins: &[&BitString],
     pred: impl Fn(&BitString) -> bool,
-) -> (Vec<ViewId>, Vec<ViewId>) {
+) -> (Vec<NodeId>, Vec<NodeId>) {
     let mut yes = Vec::new();
     let mut no = Vec::new();
     for (&v, b) in s.iter().zip(bins) {
@@ -537,28 +586,39 @@ fn partition_preserving_order(
 }
 
 /// The discriminatory index and discriminatory subview (Section 3) of a set
-/// of at least two distinct arena views of depth `>= 2` — the arena
+/// of at least two distinct depth-`depth` views (`depth >= 2`) that agree at
+/// depth `depth - 1`, named by one node each (see [`ViewRanks`]) — the arena
 /// counterpart of [`discriminatory_index_and_subview`].
+///
+/// One `O(|S|)` scan finds the two canonically smallest views by their
+/// depth-`depth` class; their first differing children are compared by
+/// their depth-`(depth - 1)` class. Returns the index and a neighbor node
+/// whose depth-`(depth - 1)` view is the discriminatory subview.
 pub fn discriminatory_index_and_subview_arena(
-    arena: &ShardedViewArena,
-    s: &[ViewId],
-) -> (usize, ViewId) {
+    ranks: &ViewRanks<'_>,
+    depth: usize,
+    s: &[NodeId],
+) -> (usize, NodeId) {
     assert!(s.len() >= 2);
-    assert!(
-        arena.depth(s[0]) >= 2,
-        "discriminatory index needs depth >= 2"
-    );
-    let mut sorted: Vec<ViewId> = s.to_vec();
-    sorted.sort_by(|&a, &b| arena.cmp_views(a, b));
-    let (a, b) = (sorted[0], sorted[1]);
-    let (ca, cb) = (arena.children(a), arena.children(b));
-    for i in 0..ca.len() {
-        if ca[i].1 != cb[i].1 {
-            let disc = if arena.cmp_views(ca[i].1, cb[i].1) == std::cmp::Ordering::Less {
-                ca[i].1
-            } else {
-                cb[i].1
-            };
+    assert!(depth >= 2, "discriminatory index needs depth >= 2");
+    let row = ranks.rows[depth];
+    let (mut a, mut b) = if row[s[0]] <= row[s[1]] {
+        (s[0], s[1])
+    } else {
+        (s[1], s[0])
+    };
+    for &v in &s[2..] {
+        if row[v] < row[a] {
+            (a, b) = (v, a);
+        } else if row[v] < row[b] {
+            b = v;
+        }
+    }
+    let below = ranks.rows[depth - 1];
+    let (na, nb) = (ranks.graph.neighbor_slice(a), ranks.graph.neighbor_slice(b));
+    for (i, (&(ua, _), &(ub, _))) in na.iter().zip(nb).enumerate() {
+        if below[ua] != below[ub] {
+            let disc = if below[ua] < below[ub] { ua } else { ub };
             return (i, disc);
         }
     }
@@ -615,6 +675,13 @@ pub fn decode_e2(bits: &BitString) -> Result<NestedList, String> {
 mod tests {
     use super::*;
     use anet_graph::generators;
+    use anet_views::ViewClasses;
+
+    /// The refinement class rows of `g` at depths `0..=depth`.
+    fn class_rows(g: &Graph, depth: usize) -> Vec<Vec<ClassId>> {
+        let table = ViewClasses::compute(g, depth);
+        (0..=depth).map(|d| table.row_at(d).to_vec()).collect()
+    }
 
     /// Builds the depth-1 trie `E1` for a graph and checks Claims 3.1/3.2:
     /// the trie has `2|S|-1` nodes and `LocalLabel` assigns distinct labels
@@ -714,11 +781,16 @@ mod tests {
 
             let arena = ShardedViewArena::new();
             let levels = arena.compute_levels(&g, 1);
-            let mut ids: Vec<ViewId> = levels[1].clone();
-            ids.sort_by(|&a, &b| arena.cmp_views(a, b));
-            ids.dedup();
+            let rows = class_rows(&g, 1);
+            let row_refs: Vec<&[ClassId]> = rows.iter().map(Vec::as_slice).collect();
+            let ranks = ViewRanks {
+                graph: &g,
+                levels: &levels,
+                rows: &row_refs,
+            };
             let mut memo = LabelMemo::new();
-            let arena_trie = build_trie_arena(&arena, &ids, None, &Vec::new(), &mut memo);
+            let s = crate::advice_build::representatives(&rows[1]);
+            let arena_trie = build_trie_arena(&arena, &ranks, 1, &s, None, &Vec::new(), &mut memo);
             assert_eq!(arena_trie, oracle_trie, "E1 tries must be identical");
 
             for v in g.nodes() {
@@ -805,16 +877,22 @@ mod tests {
         let views1 = AugmentedView::compute_all(&g, 1);
         let arena = ShardedViewArena::new();
         let levels = arena.compute_levels(&g, 2);
+        let rows = class_rows(&g, 2);
+        let row_refs: Vec<&[ClassId]> = rows.iter().map(Vec::as_slice).collect();
+        let ranks = ViewRanks {
+            graph: &g,
+            levels: &levels,
+            rows: &row_refs,
+        };
         for u in g.nodes() {
             for v in g.nodes() {
                 if u < v && views1[u] == views1[v] && views2[u] != views2[v] {
                     let s_tree = vec![views2[u].clone(), views2[v].clone()];
                     let (i_tree, disc_tree) = discriminatory_index_and_subview(&s_tree);
-                    let s_arena = vec![levels[2][u], levels[2][v]];
-                    let (i_arena, disc_arena) =
-                        discriminatory_index_and_subview_arena(&arena, &s_arena);
+                    let (i_arena, disc_node) =
+                        discriminatory_index_and_subview_arena(&ranks, 2, &[u, v]);
                     assert_eq!(i_arena, i_tree);
-                    assert_eq!(arena.materialize(disc_arena), disc_tree);
+                    assert_eq!(arena.materialize(levels[1][disc_node]), disc_tree);
                 }
             }
         }

@@ -5,6 +5,14 @@
 //! *simple* path in the graph, and all these paths must end at a common node
 //! (the leader). This module checks that contract and reports the first
 //! violated condition.
+//!
+//! [`PortPath::is_simple`] and [`PortPath::endpoint`] are the definition of
+//! a valid output. [`verify_election`] checks the same contract in one pass
+//! per path: it resolves each hop once and detects a revisited node with a
+//! per-node visit stamp that is reused across all paths, so a whole outcome
+//! costs `O(n + Σ path lengths)` with a single allocation. Property tests
+//! pin its verdict (leader, or error variant and node) to the definition on
+//! valid and perturbed outputs.
 
 use anet_graph::{Graph, NodeId, PortPath};
 
@@ -12,25 +20,35 @@ use crate::error::ElectionError;
 
 /// Verifies that `outputs[v]` is a valid election output for every node `v`
 /// and that all outputs elect the same leader; returns the leader.
+///
+/// A path is valid when it resolves in `g` from `v` (every port exists and
+/// every incoming port is the edge's actual reverse port) and visits no node
+/// twice — exactly `path.is_simple(g, v)`, whose endpoint is
+/// `path.endpoint(g, v)`. The first invalid path yields
+/// [`ElectionError::OutputNotSimplePath`]; the first endpoint that differs
+/// from node 0's yields [`ElectionError::LeadersDisagree`].
 pub fn verify_election(g: &Graph, outputs: &[PortPath]) -> Result<NodeId, ElectionError> {
     assert_eq!(
         outputs.len(),
         g.num_nodes(),
         "one output per node is required"
     );
+    let mut visited = vec![0u32; g.num_nodes()];
+    let mut stamp = 0u32;
     let mut leader: Option<(NodeId, NodeId)> = None; // (electing node, leader)
     for (v, path) in outputs.iter().enumerate() {
-        if !path.is_simple(g, v) {
-            return Err(ElectionError::OutputNotSimplePath { node: v });
-        }
-        let end = path
-            .endpoint(g, v)
+        stamp = match stamp.checked_add(1) {
+            Some(next) => next,
+            None => {
+                visited.fill(0);
+                1
+            }
+        };
+        let end = simple_endpoint(g, path, v, &mut visited, stamp)
             .ok_or(ElectionError::OutputNotSimplePath { node: v })?;
         match leader {
             None => leader = Some((v, end)),
-            Some((first_node, first_leader)) if first_leader == end => {
-                let _ = first_node;
-            }
+            Some((_, first_leader)) if first_leader == end => {}
             Some((first_node, first_leader)) => {
                 return Err(ElectionError::LeadersDisagree {
                     node_a: first_node,
@@ -42,6 +60,29 @@ pub fn verify_election(g: &Graph, outputs: &[PortPath]) -> Result<NodeId, Electi
         }
     }
     Ok(leader.expect("graphs have at least one node").1)
+}
+
+/// The endpoint of `path` followed from `start` if it is a simple path of
+/// `g`, else `None`. Marks every visited node with `stamp` in `visited`; the
+/// caller picks a stamp no earlier path used.
+fn simple_endpoint(
+    g: &Graph,
+    path: &PortPath,
+    start: NodeId,
+    visited: &mut [u32],
+    stamp: u32,
+) -> Option<NodeId> {
+    let mut cur = start;
+    visited[cur] = stamp;
+    for &(p, q) in path.pairs() {
+        let (next, rev) = g.try_neighbor(cur, p)?;
+        if rev != q || visited[next] == stamp {
+            return None;
+        }
+        visited[next] = stamp;
+        cur = next;
+    }
+    Some(cur)
 }
 
 #[cfg(test)]

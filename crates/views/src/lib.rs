@@ -14,8 +14,8 @@
 //!   words. The simulator's `COM` exchange and the advice machinery operate
 //!   on arena ids; the explicit trees remain the correctness oracle.
 //! * [`ShardedViewArena`] — the mutex-striped, concurrently-internable
-//!   variant of the arena (per-shard dense id ranges, Cudd-style memo
-//!   caches for `truncate_one` and `cmp_views`). This is the store the
+//!   variant of the arena (per-shard dense id ranges, a Cudd-style memo
+//!   for `truncate_one`). This is the store the
 //!   simulator and the election session actually run on; the sequential
 //!   [`ViewArena`] is its single-threaded oracle.
 //! * [`ViewClasses`] — a partition-refinement table that computes, for every

@@ -21,13 +21,10 @@
 //!   lock-one-shard, and each shard grows its own dense range independently.
 //!   Ids are unique but (unlike the sequential arena's) not globally dense;
 //!   all consumers key side tables by hash map, never by raw index.
-//! * **Per-operation memo caches** — `truncate_one` keeps an exact per-shard
-//!   memo (same contract as the sequential arena), and `cmp_views` keeps a
-//!   Cudd-style lossy *computed table*: a fixed-size, direct-mapped,
-//!   striped cache of `(a, b) → Ordering` results. A cache entry is only
-//!   ever a recomputation of a deterministic pure function, so hits and
-//!   misses are observationally identical — eviction can cost time, never
-//!   correctness.
+//! * **Per-operation memo** — `truncate_one` keeps an exact per-shard memo
+//!   (same contract as the sequential arena). `cmp_views` keeps none: the
+//!   election layer orders views by refinement class ranks, so the
+//!   canonical comparison only serves tests and small callers.
 //!
 //! ## Determinism contract
 //!
@@ -90,9 +87,6 @@ const SHARD_MASK: u32 = (SHARD_COUNT as u32) - 1;
 /// Per-shard capacity: local indices must fit in `32 - SHARD_BITS` bits.
 const MAX_LOCAL: u32 = u32::MAX >> SHARD_BITS;
 
-/// Slots per stripe of the `cmp_views` computed table (direct-mapped).
-const CMP_CACHE_SLOTS: usize = 1 << 12;
-
 /// Minimum node count before `compute_levels_with` spawns worker threads.
 const PARALLEL_MIN_NODES: usize = 2048;
 
@@ -116,27 +110,12 @@ struct Shard {
     trunc: Vec<Option<ViewId>>,
 }
 
-/// One direct-mapped stripe of the `cmp_views` computed table. `ord == 2`
-/// marks an empty slot; valid entries store `-1 | 0 | 1`.
-struct CmpStripe {
-    slots: Vec<(u64, i8)>,
-}
-
-impl Default for CmpStripe {
-    fn default() -> Self {
-        CmpStripe {
-            slots: vec![(0, 2); CMP_CACHE_SLOTS],
-        }
-    }
-}
-
 /// A hash-consed view store safe to intern into from many threads at once.
 /// See the [module documentation](self) for the design and the determinism
 /// contract; the API mirrors [`ViewArena`](crate::ViewArena) with `&self`
 /// receivers throughout (all mutation is behind the shard mutexes).
 pub struct ShardedViewArena {
     shards: Vec<Mutex<Shard>>,
-    cmp_cache: Vec<Mutex<CmpStripe>>,
 }
 
 impl Default for ShardedViewArena {
@@ -145,16 +124,12 @@ impl Default for ShardedViewArena {
             shards: (0..SHARD_COUNT)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
-            cmp_cache: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(CmpStripe::default()))
-                .collect(),
         }
     }
 }
 
 impl Clone for ShardedViewArena {
-    /// Deep-copies the unique table (the computed table starts cold: it is a
-    /// cache, not state).
+    /// Deep-copies the unique table and the `truncate_one` memo.
     fn clone(&self) -> Self {
         let out = ShardedViewArena::default();
         for (s, shard) in self.shards.iter().enumerate() {
@@ -178,7 +153,7 @@ impl fmt::Debug for ShardedViewArena {
 }
 
 /// The `splitmix64` finalizer: the deterministic mixer behind both the shard
-/// choice and the index/cache hashes (no `RandomState`, so shard layout is
+/// choice and the index hashes (no `RandomState`, so shard layout is
 /// reproducible across runs and processes).
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
@@ -322,31 +297,15 @@ impl ShardedViewArena {
     /// The canonical total order on views — exactly
     /// [`ViewArena::cmp_views`](crate::ViewArena::cmp_views): depth, then
     /// root degree, then children in port order by (reverse port, subview).
-    /// Results are served from a striped, direct-mapped computed table when
-    /// the pair was compared recently (eviction re-computes, never changes
-    /// the answer).
+    /// Equal ids short-circuit, so the walk descends only into subviews
+    /// that differ.
     pub fn cmp_views(&self, a: ViewId, b: ViewId) -> Ordering {
         if a == b {
             return Ordering::Equal;
         }
-        let key = ((a.raw() as u64) << 32) | b.raw() as u64;
-        let h = mix(key);
-        let stripe = (h & SHARD_MASK as u64) as usize;
-        let slot = ((h >> SHARD_BITS) as usize) & (CMP_CACHE_SLOTS - 1);
-        {
-            let cache = self.cmp_cache[stripe].lock();
-            let (k, ord) = cache.slots[slot];
-            if k == key && ord != 2 {
-                return match ord {
-                    -1 => Ordering::Less,
-                    0 => Ordering::Equal,
-                    _ => Ordering::Greater,
-                };
-            }
-        }
         let (da, ga, ca) = self.record_parts(a);
         let (db, gb, cb) = self.record_parts(b);
-        let ord = da.cmp(&db).then_with(|| ga.cmp(&gb)).then_with(|| {
+        da.cmp(&db).then_with(|| ga.cmp(&gb)).then_with(|| {
             for (&(pa, sa), &(pb, sb)) in ca.iter().zip(cb.iter()) {
                 let o = pa.cmp(&pb).then_with(|| self.cmp_views(sa, sb));
                 if o != Ordering::Equal {
@@ -356,14 +315,7 @@ impl ShardedViewArena {
             // Same depth and degree ⇒ same number of children; two views
             // with identical children intern to one id.
             unreachable!("distinct interned views must differ structurally")
-        });
-        let packed = match ord {
-            Ordering::Less => -1,
-            Ordering::Equal => 0,
-            Ordering::Greater => 1,
-        };
-        self.cmp_cache[stripe].lock().slots[slot] = (key, packed);
-        ord
+        })
     }
 
     /// The view truncated to one less depth (`B^{d-1}` of the same root),
@@ -374,20 +326,18 @@ impl ShardedViewArena {
     /// # Panics
     /// Panics on a depth-0 view.
     pub fn truncate_one(&self, id: ViewId) -> ViewId {
-        let (depth, degree, children, memo) = {
+        // A memo hit answers under the one lock without copying the record;
+        // only a miss clones the children it must truncate.
+        let (depth, degree, children) = {
             let shard = self.shards[Self::shard_of(id)].lock();
-            let r = &shard.records[Self::local_of(id)];
-            (
-                r.depth,
-                r.degree as usize,
-                r.children.clone(),
-                shard.trunc[Self::local_of(id)],
-            )
+            let local = Self::local_of(id);
+            if let Some(t) = shard.trunc[local] {
+                return t;
+            }
+            let r = &shard.records[local];
+            (r.depth, r.degree as usize, r.children.clone())
         };
         assert!(depth >= 1, "cannot truncate a depth-0 view");
-        if let Some(t) = memo {
-            return t;
-        }
         let result = if depth == 1 {
             self.intern_leaf(degree)
         } else {
@@ -553,22 +503,18 @@ mod tests {
     }
 
     #[test]
-    fn cmp_views_computed_table_serves_repeated_queries() {
+    fn cmp_views_matches_the_explicit_view_order() {
         let g = generators::caterpillar(5);
         let arena = ShardedViewArena::new();
         let levels = arena.compute_levels(&g, 2);
         let views = AugmentedView::compute_all(&g, 2);
-        // Query every pair twice: the second round is (mostly) cache hits
-        // and must return the same orderings.
-        for round in 0..2 {
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(
-                        arena.cmp_views(levels[2][u], levels[2][v]),
-                        views[u].cmp(&views[v]),
-                        "round {round}, nodes {u}/{v}"
-                    );
-                }
+        for u in g.nodes() {
+            for v in g.nodes() {
+                assert_eq!(
+                    arena.cmp_views(levels[2][u], levels[2][v]),
+                    views[u].cmp(&views[v]),
+                    "nodes {u}/{v}"
+                );
             }
         }
     }

@@ -9,20 +9,22 @@ use proptest::prelude::*;
 use anonymous_election::advice::{codec, BitString, Trie};
 use anonymous_election::election::advice_build::compute_advice_reference;
 use anonymous_election::election::labels::{
-    retrieve_label, retrieve_label_arena, LabelMemo, NestedList,
+    discriminatory_index_and_subview_arena, retrieve_label, retrieve_label_arena, LabelMemo,
+    NestedList, ViewRanks,
 };
 use anonymous_election::election::{
     compute_advice, elect_all, election_milestone, generic_elect_all, remark_elect_all,
-    scheme_suite, AdviceScheme, ExecutionModel, Generic, Instance, Milestone, MilestoneScheme,
-    MinTime, Remark,
+    scheme_suite, verify_election, AdviceScheme, ElectionError, ExecutionModel, Generic, Instance,
+    Milestone, MilestoneScheme, MinTime, Remark,
 };
+use anonymous_election::families::necklace::{necklace, necklace_base, NecklaceParams};
 use anonymous_election::graph::lift::{identity_voltage, VoltageGraph};
-use anonymous_election::graph::{algo, generators, lift, relabel};
+use anonymous_election::graph::{algo, generators, lift, relabel, Graph, NodeId, PortPath};
 use anonymous_election::sim::com::exchange_views_tree;
 use anonymous_election::sim::{exchange_views, CrashEvent, CrashSemantics, FaultPlan};
 use anonymous_election::views::{
-    election_index, election_index_naive, AugmentedView, RefineOptions, ShardedViewArena,
-    ViewArena, ViewClasses,
+    election_index, election_index_naive, AugmentedView, ClassId, RefineOptions, ShardedViewArena,
+    ViewArena, ViewClasses, ViewId,
 };
 
 /// Strategy: a connected random graph described by (size, edge probability,
@@ -89,6 +91,229 @@ fn malformed_e2_variants(
         dropped.remove(at);
     }
     vec![shuffled, duplicated, out_of_range, dropped]
+}
+
+/// The election verdict by definition: each output must satisfy
+/// `PortPath::is_simple`, and its `PortPath::endpoint` must match the first
+/// node's — the contract `verify_election` checks in one pass.
+fn verify_by_definition(g: &Graph, outputs: &[PortPath]) -> Result<NodeId, ElectionError> {
+    let mut leader: Option<(NodeId, NodeId)> = None;
+    for (v, path) in outputs.iter().enumerate() {
+        if !path.is_simple(g, v) {
+            return Err(ElectionError::OutputNotSimplePath { node: v });
+        }
+        let end = path
+            .endpoint(g, v)
+            .ok_or(ElectionError::OutputNotSimplePath { node: v })?;
+        match leader {
+            None => leader = Some((v, end)),
+            Some((_, first)) if first == end => {}
+            Some((node_a, leader_a)) => {
+                return Err(ElectionError::LeadersDisagree {
+                    node_a,
+                    leader_a,
+                    node_b: v,
+                    leader_b: end,
+                })
+            }
+        }
+    }
+    Ok(leader.expect("graphs have at least one node").1)
+}
+
+/// Perturbed copies of a set of valid outputs, each changing the output of
+/// seeded nodes: two paths swapped, a path truncated, a wrong incoming port,
+/// an out-of-range port, and back-and-forth detours that revisit a node on
+/// the path or the start.
+fn perturbed_outputs(g: &Graph, outputs: &[PortPath], seed: u64) -> Vec<Vec<PortPath>> {
+    let n = g.num_nodes();
+    let mut state = seed;
+    let mut variants = Vec::new();
+    let node = |state: &mut u64| below(state, n - 1);
+
+    let (a, b) = (node(&mut state), node(&mut state));
+    let mut swapped = outputs.to_vec();
+    swapped.swap(a, b);
+    variants.push(swapped);
+
+    // The longest output, so edits inside a path have room.
+    let v = (0..n).max_by_key(|&v| (outputs[v].len(), v)).unwrap_or(0);
+    let pairs = outputs[v].pairs().to_vec();
+    let k = below(&mut state, pairs.len().saturating_sub(1));
+    if !pairs.is_empty() {
+        let mut truncated = outputs.to_vec();
+        truncated[v] = PortPath::from_pairs(pairs[..k].to_vec());
+        variants.push(truncated);
+
+        let mut wrong_in = outputs.to_vec();
+        let mut bad = pairs.clone();
+        bad[k].1 += 1;
+        wrong_in[v] = PortPath::from_pairs(bad);
+        variants.push(wrong_in);
+
+        let mut out_of_range = outputs.to_vec();
+        let mut bad = pairs.clone();
+        bad[k].0 = n + 5;
+        out_of_range[v] = PortPath::from_pairs(bad);
+        variants.push(out_of_range);
+    }
+    // Detours at the start (revisiting the start) and mid-path.
+    let nodes = outputs[v].resolve(g, v).unwrap_or_else(|| vec![v]);
+    for at in [0, k.min(nodes.len() - 1)] {
+        let here = nodes[at];
+        let p = below(&mut state, g.degree(here) - 1);
+        let (_, q) = g.neighbor(here, p);
+        let mut detour = pairs.clone();
+        detour.splice(at..at, [(p, q), (q, p)]);
+        let mut with_detour = outputs.to_vec();
+        with_detour[v] = PortPath::from_pairs(detour);
+        variants.push(with_detour);
+    }
+    variants
+}
+
+/// The class rows `0..=phi` of `g`.
+fn rows_to(g: &Graph, phi: usize) -> Vec<Vec<ClassId>> {
+    let table = ViewClasses::compute(g, phi);
+    (0..=phi).map(|d| table.row_at(d).to_vec()).collect()
+}
+
+/// The `E2` sets of `ComputeAdvice` at depth `d`: for every depth-`(d-1)`
+/// view with more than one depth-`d` extension, the smallest node of each
+/// extension's class, in class order.
+fn e2_groups(rows: &[Vec<ClassId>], d: usize) -> Vec<Vec<NodeId>> {
+    let mut groups: std::collections::BTreeMap<ClassId, Vec<(ClassId, NodeId)>> =
+        std::collections::BTreeMap::new();
+    for (v, &c) in rows[d].iter().enumerate() {
+        let group = groups.entry(rows[d - 1][v]).or_default();
+        if !group.iter().any(|&(seen, _)| seen == c) {
+            group.push((c, v));
+        }
+    }
+    groups
+        .into_values()
+        .filter(|g| g.len() > 1)
+        .map(|mut g| {
+            g.sort_unstable();
+            g.into_iter().map(|(_, v)| v).collect()
+        })
+        .collect()
+}
+
+/// The discriminatory index and subview as chosen before class ranks: sort
+/// all of `S` by `cmp_views`, then compare the first differing children of
+/// the two smallest with `cmp_views`.
+fn sort_based_discriminatory_index(arena: &ShardedViewArena, s: &[ViewId]) -> (usize, ViewId) {
+    let mut sorted = s.to_vec();
+    sorted.sort_by(|&a, &b| arena.cmp_views(a, b));
+    let (ca, cb) = (arena.children(sorted[0]), arena.children(sorted[1]));
+    let i = (0..ca.len())
+        .find(|&i| ca[i].1 != cb[i].1)
+        .expect("distinct views of one parent differ in some child");
+    let smaller = if arena.cmp_views(ca[i].1, cb[i].1).is_lt() {
+        ca[i].1
+    } else {
+        cb[i].1
+    };
+    (i, smaller)
+}
+
+/// Feasible small graphs whose advice has deep and large `E2` groups: coded
+/// and base necklaces (φ = 3) and near-cover lifts (φ from 3 to 6), each
+/// small enough for the materialized-tree reference.
+fn deep_e2_graphs() -> Vec<(String, Graph)> {
+    let mut out = Vec::new();
+    for (k, x, code) in [
+        (4, 3, vec![0, 0, 0, 0]),
+        (6, 3, vec![0, 1, 2, 1, 0, 0]),
+        (6, 3, vec![0, 2, 0, 1, 2, 0]),
+    ] {
+        let params = NecklaceParams { k, x, phi: 3 };
+        let g = if code.iter().all(|&c| c == 0) {
+            necklace_base(params)
+        } else {
+            necklace(params, &code)
+        };
+        out.push((format!("necklace(k={k},x={x},{code:?})"), g));
+    }
+    // Near-covers of fold 7–8 split a fiber into up to 7 views at once.
+    for (base_n, p, fold, seed) in [
+        (5, 0.5, 4, 9u64),
+        (6, 0.5, 3, 13),
+        (6, 0.6, 8, 0),
+        (7, 0.3, 8, 10),
+        (8, 0.6, 7, 11),
+    ] {
+        let base = generators::random_connected(base_n, p, seed);
+        if let Some(g) = lift::near_cover(&base, fold, seed) {
+            out.push((format!("near_cover({base_n},{p},k={fold},s={seed})"), g));
+        }
+    }
+    out.into_iter()
+        .filter(|(_, g)| matches!(election_index(g), Some(phi) if phi >= 3))
+        .collect()
+}
+
+#[test]
+fn rank_discriminatory_index_matches_the_sort_based_choice() {
+    let mut sets = 0usize;
+    for (name, g) in deep_e2_graphs() {
+        let phi = election_index(&g).unwrap();
+        let arena = ShardedViewArena::new();
+        let levels = arena.compute_levels(&g, phi);
+        let rows = rows_to(&g, phi);
+        let row_refs: Vec<&[ClassId]> = rows.iter().map(Vec::as_slice).collect();
+        let ranks = ViewRanks {
+            graph: &g,
+            levels: &levels,
+            rows: &row_refs,
+        };
+        for d in 2..=phi {
+            for group in e2_groups(&rows, d) {
+                // The group and every suffix left after dropping its
+                // smallest views, each in ascending order, descending order
+                // and with its second smallest view moved last: the scan
+                // must not rely on the order it is given.
+                for start in 0..group.len() - 1 {
+                    let ascending = group[start..].to_vec();
+                    let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
+                    let mut second_last = ascending.clone();
+                    let second = second_last.remove(1);
+                    second_last.push(second);
+                    for s in [ascending, descending, second_last] {
+                        let ids: Vec<ViewId> = s.iter().map(|&v| levels[d][v]).collect();
+                        let (i, disc) = discriminatory_index_and_subview_arena(&ranks, d, &s);
+                        let expected = sort_based_discriminatory_index(&arena, &ids);
+                        assert_eq!((i, levels[d - 1][disc]), expected, "{name} depth {d}");
+                        sets += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(sets > 100, "only {sets} sets compared");
+}
+
+#[test]
+fn advice_with_large_e2_groups_matches_the_reference() {
+    // E2 groups of more than two views make BuildTrie pick the two smallest
+    // of a larger set and recurse on uneven splits; random small graphs
+    // rarely have them.
+    let mut largest = 0usize;
+    for (name, g) in deep_e2_graphs() {
+        let arena = compute_advice(&g).unwrap();
+        let reference = compute_advice_reference(&g).unwrap();
+        assert_eq!(arena.bits, reference.bits, "{name}");
+        assert_eq!(arena.labels, reference.labels, "{name}");
+        let group_max = arena
+            .e2
+            .iter()
+            .flat_map(|(_, list)| list.iter().map(|(_, t)| t.num_leaves()))
+            .max()
+            .unwrap_or(0);
+        largest = largest.max(group_max);
+    }
+    assert!(largest >= 6, "largest E2 group has only {largest} views");
 }
 
 proptest! {
@@ -686,6 +911,26 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_verification_agrees_with_the_definition((n, p, seed) in graph_params()) {
+        // verify_election must return the leader, or the error variant and
+        // node, that is_simple + endpoint give, on valid outputs and on
+        // every perturbation of them.
+        let g = generators::random_connected(n, p, seed);
+        let leader = (seed % n as u64) as usize;
+        let mut valid: Vec<PortPath> =
+            g.nodes().map(|v| algo::shortest_path_ports(&g, v, leader)).collect();
+        if let Some(phi) = election_index(&g) {
+            if phi <= 3 {
+                valid = elect_all(&g).unwrap().outputs;
+            }
+        }
+        prop_assert_eq!(verify_election(&g, &valid), verify_by_definition(&g, &valid));
+        for outputs in perturbed_outputs(&g, &valid, seed) {
+            prop_assert_eq!(verify_election(&g, &outputs), verify_by_definition(&g, &outputs));
         }
     }
 }
